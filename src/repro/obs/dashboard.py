@@ -114,7 +114,7 @@ def _extract_rows(
     probes of ``placement_decision`` events (the *committed* schedule —
     the explaining pass records exactly it); last, ``task_placed``
     events deduplicated to the final placement per task, because the
-    look-ahead emits one ``task_placed`` per speculative LoCBS pass and
+    look-ahead emits one ``task_placed`` per trial LoCBS pass and
     overlaying every pass would fabricate utilization.
     """
     sim = [
@@ -273,21 +273,6 @@ def _render_tiles(
                 "Cache hit rate",
                 f"{hits / (hits + misses):.1%}",
                 hint,
-            )
-        )
-    considered = bound = dom = 0
-    for ev in events:
-        if ev.name == ev_types.PRUNE_STATS:
-            considered += int(ev.fields.get("considered", 0))
-            bound += int(ev.fields.get("bound_pruned", 0))
-            dom += int(ev.fields.get("dominance_pruned", 0))
-    pruned = bound + dom
-    if considered or pruned:
-        tiles.append(
-            _tile(
-                "Probe prune rate",
-                f"{pruned / (considered + pruned):.1%}",
-                f"{considered} considered, {bound} bound, {dom} dominance",
             )
         )
     online_latencies = []
@@ -476,7 +461,7 @@ def _render_decision(d: PlacementDecision) -> str:
         f"[{_fmt(w.start, 5) if w else '?'}, "
         f"{_fmt(w.finish, 5) if w else '?'}] · "
         f"regret {_fmt(d.regret, 4)} · "
-        f"{len(d.candidates)} candidates ({d.pruned} beyond prune bound)"
+        f"{len(d.candidates)} candidates ({d.pruned} beyond the finish bound)"
     )
     shown = d.candidates[:_MAX_CANDIDATE_ROWS]
     rows = []

@@ -33,10 +33,6 @@ REDISTRIBUTION_COSTED = "redistribution_costed"
 #: full decision provenance (emitted only when ``explain`` is on; the
 #: payload is a serialized :class:`repro.schedulers.provenance.PlacementDecision`)
 PLACEMENT_DECISION = "placement_decision"
-#: per-call probe-ladder pruning deltas (``considered``, ``bound_pruned``,
-#: ``dominance_pruned``) — how much of the hole scan the admissible bound
-#: and the dominance memo closed without probing
-PRUNE_STATS = "prune_stats"
 
 #: replay engine (simulated-time spans, not wall-clock)
 SIM_TASK = "sim_task"
@@ -77,7 +73,6 @@ EVENT_TYPES = frozenset(
         PSEUDO_EDGE_ADDED,
         REDISTRIBUTION_COSTED,
         PLACEMENT_DECISION,
-        PRUNE_STATS,
         SIM_TASK,
         SIM_TRANSFER,
         EXPERIMENT_CELL,

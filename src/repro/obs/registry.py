@@ -446,9 +446,6 @@ def registry_from_events(
       label), misses, stores (with a ``mode`` label), and evictions,
       plus ``cache_warm_starts_total{adopted=...}`` for the warm-start
       profitability gate;
-    * ``prune_probes_total{kind=...}`` — probe-ladder candidates by
-      outcome (``considered`` / ``bound_pruned`` / ``dominance_pruned``)
-      from the per-call ``prune_stats`` deltas;
     * ``online_event_seconds{kind=...}`` / ``online_queue_depth`` /
       ``online_jobs_total{op=...}`` — per-event handler latency,
       deferred-queue depth, and job lifecycle counts from the online
@@ -502,16 +499,6 @@ def registry_from_events(
                 adopted="true" if ev.fields.get("adopted") else "false",
                 help="graph-delta warm-start attempts by outcome",
             )
-        elif ev.name == "prune_stats":
-            for kind in ("considered", "bound_pruned", "dominance_pruned"):
-                count = int(ev.fields.get(kind, 0))
-                if count:
-                    reg.inc(
-                        "prune_probes",
-                        count,
-                        kind=kind,
-                        help="hole-scan probe-ladder candidates by outcome",
-                    )
         elif ev.name == "online_event":
             reg.observe(
                 "online_event_seconds",

@@ -23,10 +23,9 @@ honest baseline the ``BENCH_online.json`` speedup is measured against:
 its per-event cost grows with history (it re-prices every historical
 hole scan), which is precisely what cold-starting LoCBS per event costs.
 
-Both arms report the probe-ladder counters
-(``probes_considered`` / ``bound`` / ``dominance`` deltas) per placement,
-so CI can assert the incremental arm priced *strictly fewer* candidate
-holes than the cold rebuild.
+Both arms report the ``probes_considered`` delta (hole-ladder probes
+entered) per placement, so CI can assert the incremental arm priced
+*strictly fewer* candidate holes than the cold rebuild.
 """
 
 from __future__ import annotations
@@ -54,17 +53,6 @@ class PlacementResult:
     placements: List[PlacedTask]
     latency_s: float  #: wall-clock seconds this placement took
     probes_considered: int  #: hole-ladder candidates priced for this call
-    probes_bound_pruned: int
-    probes_dominance_pruned: int
-
-
-def _probe_snapshot(cache: CostCache) -> Tuple[int, int, int]:
-    s = cache.stats
-    return (
-        s["probes_considered"],
-        s["probes_bound_pruned"],
-        s["probes_dominance_pruned"],
-    )
 
 
 class IncrementalPlacer:
@@ -88,7 +76,7 @@ class IncrementalPlacer:
     ) -> PlacementResult:
         """Splice *graph* into the live chart; O(job + open holes)."""
         alloc = dict(allocation)
-        before = _probe_snapshot(self.cost_cache)
+        before = self.cost_cache.stats["probes_considered"]
         t0 = time.perf_counter()
         placements = splice_schedule(
             graph,
@@ -101,14 +89,12 @@ class IncrementalPlacer:
             index=self.index,
         )
         latency = time.perf_counter() - t0
-        after = _probe_snapshot(self.cost_cache)
+        after = self.cost_cache.stats["probes_considered"]
         self.history.append((graph, alloc, release_floor))
         return PlacementResult(
             placements=placements,
             latency_s=latency,
-            probes_considered=after[0] - before[0],
-            probes_bound_pruned=after[1] - before[1],
-            probes_dominance_pruned=after[2] - before[2],
+            probes_considered=after - before,
         )
 
     def release(self, graph: TaskGraph) -> None:
@@ -171,12 +157,10 @@ class ColdRebuildPlacer:
             cost_cache=cache,
         )
         latency = time.perf_counter() - t0
-        probes = _probe_snapshot(cache)  # fresh cache: totals == this call
+        probes = cache.stats["probes_considered"]  # fresh cache: this call
         self.history.append((graph, alloc, release_floor))
         return PlacementResult(
             placements=placements,
             latency_s=latency,
-            probes_considered=probes[0],
-            probes_bound_pruned=probes[1],
-            probes_dominance_pruned=probes[2],
+            probes_considered=probes,
         )

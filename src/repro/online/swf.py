@@ -15,7 +15,9 @@ field  8  requested number of processors
 — preferring the *requested* processor count when positive (the
 allocated count reflects the original system's scheduler, not the job),
 and skips unusable records (non-positive run time or width, e.g. the
-``-1`` markers for cancelled jobs).
+``-1`` markers for cancelled jobs). Non-finite (``nan``/``inf``) submit
+times, run times and processor counts are rejected outright: they are
+corrupt records, not cancellation markers.
 
 Each SWF job is **rigid**: it ran at one width ``w`` with runtime ``r``.
 :func:`jobs_from_swf` models it as a single-task graph whose profile is a
@@ -28,6 +30,7 @@ widths, clamped to the target machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Union
 
@@ -38,6 +41,14 @@ from repro.online.jobs import Job
 from repro.speedup import ExecutionProfile
 
 __all__ = ["SwfJob", "parse_swf", "jobs_from_swf"]
+
+#: (0-based field index, name) of the numeric fields the importer reads
+_NUMERIC_FIELDS = (
+    (1, "submit time"),
+    (3, "run time"),
+    (4, "allocated processors"),
+    (7, "requested processors"),
+)
 
 
 @dataclass(frozen=True)
@@ -56,7 +67,8 @@ def parse_swf(source: Union[str, Iterable[str]]) -> List[SwfJob]:
     Comment (``;``) and blank lines are skipped, as are records whose run
     time or processor count is not positive. Jobs are returned in file
     order; submit times are taken as-is (SWF traces are already offset to
-    start near 0).
+    start near 0). Raises :class:`ScheduleError` on short lines and on
+    unparsable or non-finite fields.
     """
     if isinstance(source, str):
         lines: Iterable[str] = source.splitlines()
@@ -72,14 +84,22 @@ def parse_swf(source: Union[str, Iterable[str]]) -> List[SwfJob]:
             raise ScheduleError(
                 f"SWF line {lineno}: expected >= 8 fields, got {len(fields)}"
             )
-        try:
-            job_id = fields[0]
-            submit = float(fields[1])
-            run_time = float(fields[3])
-            allocated = int(float(fields[4]))
-            requested = int(float(fields[7]))
-        except ValueError as exc:
-            raise ScheduleError(f"SWF line {lineno}: unparsable field") from exc
+        job_id = fields[0]
+        values = []
+        for idx, name in _NUMERIC_FIELDS:
+            try:
+                value = float(fields[idx])
+            except ValueError as exc:
+                raise ScheduleError(
+                    f"SWF line {lineno}: unparsable {name} {fields[idx]!r}"
+                ) from exc
+            if not math.isfinite(value):
+                raise ScheduleError(
+                    f"SWF line {lineno}: non-finite {name} {fields[idx]!r}"
+                )
+            values.append(value)
+        submit, run_time = values[0], values[1]
+        allocated, requested = int(values[2]), int(values[3])
         procs = requested if requested > 0 else allocated
         if run_time <= 0 or procs <= 0:
             continue

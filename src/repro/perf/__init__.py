@@ -9,11 +9,7 @@ Three pieces back the incremental scheduling engine:
   ``BENCH_hotpath.json`` perf trajectory (``python -m repro.perf hotpath``);
 * :mod:`repro.perf.golden` — exact makespan/placement fingerprints of every
   registered scheduler, guarding against schedule drift
-  (``python -m repro.perf golden --check``);
-* :mod:`repro.perf.parallel` — serial vs ``parallel_workers=N`` suites
-  producing ``BENCH_parallel.json`` and checking the parallel backend
-  bit-identical against the golden file
-  (``python -m repro.perf parallel``).
+  (``python -m repro.perf golden --check``).
 """
 
 from repro.perf.golden import (
@@ -31,12 +27,6 @@ from repro.perf.hotpath import (
     run_hotpath,
     run_suite,
     wide_dag,
-)
-from repro.perf.parallel import (
-    available_parallelism,
-    check_parallel_golden,
-    run_parallel,
-    run_suite_parallel,
 )
 from repro.perf.reference import (
     ReferenceLocMpsScheduler,
@@ -60,10 +50,6 @@ __all__ = [
     "run_suite",
     "wide_dag",
     "ReferenceLocMpsScheduler",
-    "available_parallelism",
-    "check_parallel_golden",
     "locbs_schedule_reference",
-    "run_parallel",
-    "run_suite_parallel",
     "scan_blockers",
 ]

@@ -19,4 +19,5 @@ __all__ = ["BENCH_SCHEMA_VERSION"]
 #: (``BENCH_online.json``: per-suite incremental/cold latency stats,
 #: ``median_speedup``, differential ``identical`` flag, per-arm ``probes``
 #: counts, and a ``latency_caveat`` string on single-core runs).
-BENCH_SCHEMA_VERSION = 3
+#: v4: the hotpath ``prune`` section shrank to ``probes_considered``.
+BENCH_SCHEMA_VERSION = 4

@@ -397,7 +397,7 @@ class ProcessorTimeline:
         """Lazy :meth:`release_times` — same values, yielded on demand.
 
         The backfill probe ladder usually stops after the first couple of
-        candidates once its admissible bound closes the scan, so it should
+        candidates once its ``tau + et`` bound closes the scan, so it should
         not pay for materializing (and copying) the whole tail. Only valid
         while the chart is unmodified — the slot search never reserves
         mid-scan, so iteration is always over a frozen chart.
@@ -408,18 +408,6 @@ class ProcessorTimeline:
                 yield eu[i]
             return
         yield from self.release_times(after)
-
-    def release_count_after(self, after: float) -> int:
-        """``len(release_times(after))`` without materializing the list.
-
-        One bisect on the maintained unique-ends list in the common
-        EPS-chain-free case; lets the probe ladder report how many
-        candidates its bound pruned even though they were never generated.
-        """
-        if not self._eps_chain:
-            eu = self._ends_unique
-            return len(eu) - bisect_right(eu, after + EPS)
-        return len(self.release_times(after))
 
     def boundary_times(self, after: float) -> List[float]:
         """Sorted deduplicated interval starts *and* ends after *after*."""

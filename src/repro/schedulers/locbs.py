@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import (
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -81,32 +80,15 @@ __all__ = [
 #: tolerance when matching a blocked start time against finish times
 _PSEUDO_TOL = 1e-6
 
-#: Kill switch for the bound-and-prune layer of the hole scan (admissible
-#: data-ready lower bounds + dominance memoization). With pruning off, the
-#: bound terms collapse to neutral values that reproduce the seed code's
-#: weaker ``tau + et >= best_finish - EPS`` test bit-for-bit — the proof
-#: arm the differential battery flips to compare pruned vs unpruned scans
-#: (``tests/test_array_equivalence.py::TestPruneDifferential``).
-_PRUNING_ENABLED = True
-
 
 class TransferTimer(Protocol):
-    """What the placement hot path needs from a redistribution model.
-
-    ``min_transfer_time`` powers the probe-ladder prune bound; the scan
-    reaches it through ``getattr(..., None)``, so models without it (and
-    the frozen proof arms) simply run unpruned.
-    """
+    """What the placement hot path needs from a redistribution model."""
 
     def transfer_time(
         self,
         src_procs: Tuple[int, ...],
         dst_procs: Tuple[int, ...],
         volume: float,
-    ) -> float: ...
-
-    def min_transfer_time(
-        self, src_width: int, dst_width: int, volume: float
     ) -> float: ...
 
 
@@ -254,16 +236,6 @@ def locbs_schedule(
     alloc = clamp_allocation(graph, cluster, allocation)
     cache = cost_cache if cost_cache is not None else CostCache(cluster)
     inv = cache.graph_invariants(graph)
-    if tracer.enabled:
-        # Snapshot the (shared, cumulative) prune counters so the
-        # ``prune_stats`` event emitted at the end carries this call's
-        # deltas, not the run totals.
-        _ps = cache.stats
-        probes_base = (
-            _ps["probes_considered"],
-            _ps["probes_bound_pruned"],
-            _ps["probes_dominance_pruned"],
-        )
 
     # Priorities (Algorithm 2, step 4): bottom level under the current
     # allocation plus the heaviest inbound edge estimate. Both are fixed
@@ -346,13 +318,6 @@ def locbs_schedule(
             if placed_count[succ] == n_preds[succ] and succ in unplaced:
                 ready.push(succ)
 
-    if tracer.enabled:
-        tracer.event(
-            "prune_stats",
-            considered=_ps["probes_considered"] - probes_base[0],
-            bound_pruned=_ps["probes_bound_pruned"] - probes_base[1],
-            dominance_pruned=_ps["probes_dominance_pruned"] - probes_base[2],
-        )
     sdag = ScheduleDAG(graph, vertex_weights, edge_weights)
     for u, v in sdag_pseudo:
         sdag.add_pseudo_edge(u, v)
@@ -497,40 +462,12 @@ def _place_task(
     recording = provenance is not None
     stats: Optional[Dict[str, int]] = getattr(model, "stats", None)
 
-    # Admissible data-ready lower bounds (subset-independent). With pruning
-    # on, the tau loop breaks at ``max(tau, lb_ready) + et`` (overlap) /
-    # ``tau + comm_lb + et`` (non-overlap) instead of the weaker
-    # ``tau + et`` test. ``min_transfer_time(|src|, np_t, v)`` never
-    # exceeds ``transfer_time(src, chosen, v)`` for *any* ``np_t``-subset
-    # the scan could choose — including roomy retries — and the float
-    # combinations below mirror :func:`_time_placement`'s exact operation
-    # sequence (monotone IEEE-754 add/max per term), so the bound never
-    # overestimates a feasible finish at tau. Breaking on it is therefore
-    # schedule-preserving. With pruning off, or a model without the bound
-    # query, the neutral terms reproduce the weak test bit-for-bit.
-    lb_ready = -math.inf  # overlap: bound on the parent-arrival maximum
-    comm_lb = 0.0  # non-overlap: bound on the serialized comm sum
-    min_tt = (
-        getattr(model, "min_transfer_time", None) if _PRUNING_ENABLED else None
-    )
-    if min_tt is not None:
-        if overlap:
-            for _, pprocs, ft, volume in parent_info:
-                arrival = ft + min_tt(len(pprocs), np_t, volume)
-                if arrival > lb_ready:
-                    lb_ready = arrival
-        else:
-            for _, pprocs, _, volume in parent_info:
-                comm_lb += min_tt(len(pprocs), np_t, volume)
-
     candidates: Iterable[float]
     if options.backfill:
         # Only busy-interval *ends* can enlarge the idle set, so they (plus
         # the data-ready time) are the only start times worth probing.
-        # Generated lazily: the bound usually closes the ladder within a
-        # few probes, so the tail is never materialized; the count (one
-        # bisect) still tells the telemetry how much the bound pruned.
-        ladder_total = 1 + timeline.release_count_after(ready_base)
+        # Generated lazily: the ``tau + et`` bound usually closes the ladder
+        # within a few probes, so the tail is never materialized.
         candidates = chain(
             (ready_base,), timeline.release_times_after(ready_base)
         )
@@ -560,7 +497,6 @@ def _place_task(
                 merged.append(t)
                 kept, kept_hi = t, hi
             candidates = merged
-        ladder_total = len(candidates)
 
     best: Optional[Tuple[float, float, float, Tuple[int, ...]]] = None
     # best = (finish, start, exec_start, procs)
@@ -577,16 +513,12 @@ def _place_task(
     # provenance recording and tracing (which probe candidates one at a
     # time and annotate each) and for the no-backfill ablation.
     if options.backfill and provenance is None and not tracer.enabled:
-        best, considered, dom_pruned = _scan_batch(
+        best, considered = _scan_batch(
             candidates, np_t, et, parent_info, locality, model, timeline,
-            overlap, lb_ready, comm_lb,
+            overlap,
         )
         if stats is not None:
             stats["probes_considered"] += considered
-            stats["probes_dominance_pruned"] += dom_pruned
-            stats["probes_bound_pruned"] += (
-                ladder_total - considered - dom_pruned
-            )
         if best is None:
             raise ScheduleError(f"no feasible slot found for task {tp!r}")
         finish, start, exec_start, chosen = best
@@ -620,17 +552,12 @@ def _place_task(
 
     for tau in candidates:
         if best is not None:
-            if overlap:
-                bound_start = lb_ready if lb_ready > tau else tau
-                bound_finish = bound_start + et
-            else:
-                bound_finish = (tau + comm_lb) + et
-            if bound_finish >= best[0] - EPS:
+            if tau + et >= best[0] - EPS:
                 # No later start can beat the current finish time: every
-                # feasible placement at tau finishes at ``bound_finish`` or
-                # later (the bound is admissible). When recording, keep
-                # probing anyway — the extra probes are exactly the losing
-                # alternatives the regret list needs true margins for.
+                # feasible placement at tau finishes at ``tau + et`` or
+                # later. When recording, keep probing anyway — the extra
+                # probes are exactly the losing alternatives the regret
+                # list needs true margins for.
                 if not recording:
                     break
                 pruned_by_bound += 1
@@ -712,9 +639,8 @@ def _place_task(
 
     if stats is not None and not recording:
         # Hot-path telemetry only: the recording (explain) re-run probes
-        # past the bound on purpose and must not skew the prune rates.
+        # past the bound on purpose and must not skew the probe counts.
         stats["probes_considered"] += entered
-        stats["probes_bound_pruned"] += ladder_total - entered
 
     if best is None:
         # Unreachable: the final candidate (the chart horizon) always has all
@@ -800,9 +726,7 @@ def _scan_batch(
     model: "TransferTimer",
     timeline: ProcessorTimeline,
     overlap: bool,
-    lb_ready: float,
-    comm_lb: float,
-) -> Tuple[Optional[Tuple[float, float, float, Tuple[int, ...]]], int, int]:
+) -> Tuple[Optional[Tuple[float, float, float, Tuple[int, ...]]], int]:
     """The hole scan of Algorithm 2, restructured around the array chart.
 
     The scalar loop classifies the whole machine at every candidate start
@@ -830,22 +754,13 @@ def _scan_batch(
       flips between consecutive probes.
 
     The sequential semantics are preserved exactly: candidates are
-    consumed in ascending order, the admissible-bound break (``lb_ready``
-    / ``comm_lb`` from the caller; neutral values reproduce the seed's
-    ``tau + et >= best_finish - EPS`` test) stops the scan at a probe the
-    unpruned scan could never have won, and infeasible locality picks run
-    the scalar roomy retry verbatim.
+    consumed in ascending order, the ``tau + et >= best_finish - EPS``
+    break stops the scan at the same probe as the scalar loop, and
+    infeasible locality picks run the scalar roomy retry verbatim.
 
-    Dominance memoization: :func:`_pick_by_locality` is a pure function of
-    the idle ``(proc, horizon)`` pair set (its ranking key is total and
-    input-order independent), so picks on the fallback path are memoized
-    by that set's signature. A later tau exposing an already-seen set
-    whose memoized subset times out feasibly at ``finish >= best - EPS``
-    concludes without any re-ranking — counted as dominance-pruned.
-
-    Returns ``(best, considered, dominance_pruned)``; the caller derives
-    bound-pruned probes from the ladder length (lazily generated
-    candidates are never materialized here).
+    Returns ``(best, considered)``: the winning placement and the number
+    of probes entered (lazily generated candidates past the break are
+    never materialized).
     """
     P = len(timeline.processors)
     row_of = timeline._row
@@ -872,11 +787,8 @@ def _scan_batch(
 
     best: Optional[Tuple[float, float, float, Tuple[int, ...]]] = None
     entered = 0
-    dom_pruned = 0
     #: chosen subset -> data-ready max (overlap) / comm sum (non-overlap)
     timing_memo: Dict[Tuple[int, ...], float] = {}
-    #: idle-pair-set signature -> memoized locality pick (fallback path)
-    pick_memo: Dict[FrozenSet[Tuple[int, float]], Tuple[int, ...]] = {}
     #: lazy classification ladder: the first unavoidable classification is
     #: a plain query, the second builds the incremental sweep, later ones
     #: just advance it (probe times ascend; chart frozen during the scan)
@@ -888,18 +800,11 @@ def _scan_batch(
     #: where its member probes would just duplicate the classification
     try_groups = bool(groups)
     for tau in candidates:
-        if best is not None:
-            # admissible-bound break: no feasible placement at (or after)
-            # tau can finish before bound_finish, so the ladder is closed
-            if overlap:
-                bound_start = lb_ready if lb_ready > tau else tau
-                bound_finish = bound_start + et
-            else:
-                bound_finish = (tau + comm_lb) + et
-            if bound_finish >= best[0] - EPS:
-                break
+        if best is not None and tau + et >= best[0] - EPS:
+            # no placement at (or after) tau can finish before tau + et,
+            # so the ladder is closed
+            break
         entered += 1
-        sig_hit = False
         tol = tau + EPS
         if counts_ok and not try_groups:
             # Global busy-count identity: two binary searches skip start
@@ -961,14 +866,7 @@ def _scan_batch(
                 free = timeline.idle_with_horizon(tau)
                 if len(free) < np_t:
                     continue
-            sig = frozenset(free)
-            chosen = pick_memo.get(sig)
-            if chosen is None:
-                chosen = pick_memo[sig] = _pick_by_locality(
-                    free, np_t, locality
-                )
-            else:
-                sig_hit = True
+            chosen = _pick_by_locality(free, np_t, locality)
         # -- trial timing (memoized per subset; scalar float ops) -------------
         known = timing_memo.get(chosen)
         if overlap:
@@ -1008,10 +906,7 @@ def _scan_batch(
         else:
             fits = timeline.is_free(chosen, start, finish)
         if not fits:
-            # scalar roomy retry, verbatim on this probe's idle pairs (a
-            # retry re-ranks a different subset, so it is real work, not a
-            # dominance conclusion)
-            sig_hit = False
+            # scalar roomy retry, verbatim on this probe's idle pairs
             if free is None:
                 if sweep is not None:
                     sweep.advance(tau)
@@ -1033,13 +928,7 @@ def _scan_batch(
                 continue
         if best is None or finish < best[0] - EPS:
             best = (finish, start, exec_start, chosen)
-        elif sig_hit:
-            # the whole probe concluded from memoized pick + memoized
-            # timing without improving best: dominated by the earlier
-            # same-signature probe (finish is nondecreasing in tau for a
-            # fixed subset, and best only ever decreases)
-            dom_pruned += 1
-    return best, entered - dom_pruned, dom_pruned
+    return best, entered
 
 
 def _hp_key(ph: Tuple[int, float]) -> Tuple[float, int]:

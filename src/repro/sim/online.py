@@ -127,7 +127,7 @@ class OnlineRescheduler:
         self.deviation_threshold = deviation_threshold
         self.max_replans = max_replans
         #: observability sink threaded into the default LoC-MPS factory,
-        #: so warm-start adoption (``cache_warm_start`` events) and prune
+        #: so warm-start adoption (``cache_warm_start`` events) and LoCBS
         #: telemetry from each replanning round land in one trace that
         #: :func:`~repro.obs.registry.registry_from_events` can fold
         self.tracer = tracer or NULL_TRACER

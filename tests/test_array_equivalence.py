@@ -18,17 +18,16 @@ preserved verbatim in :mod:`repro.perf.scalar_oracles`:
 * the known edge cases — zero-duration tasks, back-to-back spans, empty
   processor sets, single-processor machines, coprime layout sizes whose
   lcm period must never be materialized — are pinned explicitly;
-* the bound-and-prune layer of the LoCBS hole scan runs prune-on vs
-  prune-off (``locbs._PRUNING_ENABLED``) over the full registry and on
-  adversarially tight fuzzed graphs (zero-volume parents, sub-EPS
+* the batch LoCBS hole scan runs against the frozen reference arm under
+  every registered scheduler's allocation (backfill and no-backfill) and
+  on adversarially tight fuzzed graphs (zero-volume parents, sub-EPS
   execution times, single-processor machines), asserting bit-identical
-  schedules, plus the admissibility of ``min_transfer_time`` itself.
+  schedules.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -39,7 +38,10 @@ from repro.cluster import MYRINET_2GBPS, Cluster
 from repro.exceptions import RedistributionError, ScheduleError
 from repro.graph import TaskGraph
 from repro.perf.hotpath import deep_dag, wide_dag
-from repro.perf.reference import ReferenceLocMpsScheduler
+from repro.perf.reference import (
+    ReferenceLocMpsScheduler,
+    locbs_schedule_reference,
+)
 from repro.perf.scalar_oracles import (
     ScalarIdleSweep,
     ScalarProcessorTimeline,
@@ -57,9 +59,7 @@ from repro.redistribution import (
 from repro.redistribution.blockcyclic import pair_fractions
 from repro.schedule import IdleSweep, ProcessorTimeline
 from repro.schedulers import SCHEDULERS, get_scheduler
-from repro.schedulers import locbs as locbs_mod
 from repro.schedulers.context import SchedulingContext
-from repro.schedulers.costcache import CostCache
 from repro.schedulers.locbs import LocbsOptions, locbs_schedule
 from repro.schedulers.locmps import LocMpsScheduler
 from repro.schedulers.provenance import ProvenanceRecorder
@@ -158,6 +158,13 @@ def _replay(schedule, num_procs: int):
     return array_tl, scalar_tl
 
 
+def _schedule_rows(schedule):
+    return sorted(
+        (p.name, p.start, p.exec_start, p.finish, p.processors)
+        for p in schedule
+    )
+
+
 # -- full registry x workloads ------------------------------------------------
 
 
@@ -212,6 +219,35 @@ class TestSchedulerDifferential:
         )
         assert rows(fast) == rows(ref)
         assert fast.edge_comm_times == ref.edge_comm_times
+
+
+# -- LoCBS hole scan on every registry allocation -----------------------------
+#
+# Each registered scheduler settles on its own allocation pattern (all-ones,
+# all-P, CPA/CPR widths, LoC-MPS look-ahead widths, ...). Re-running LoCBS
+# under each of those allocations drives the production hole scan through
+# widely different width mixes; it must reproduce the frozen reference scan
+# float for float, with and without backfill.
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("name", SCHEDULER_NAMES)
+class TestAllocationScanDifferential:
+    def test_locbs_bit_identical_to_reference_on_allocation(
+        self, name, workload
+    ):
+        graph = WORKLOADS[workload]()
+        cluster = _cluster()
+        schedule = get_scheduler(name).schedule(graph, cluster)
+        alloc = {p.name: len(p.processors) for p in schedule}
+        for options in (LocbsOptions(), LocbsOptions(backfill=False)):
+            fast = locbs_schedule(graph, cluster, alloc, options).schedule
+            ref = locbs_schedule_reference(
+                graph, cluster, alloc, options
+            ).schedule
+            assert fast.makespan == ref.makespan
+            assert _schedule_rows(fast) == _schedule_rows(ref)
+            assert fast.edge_comm_times == ref.edge_comm_times
 
 
 # -- hypothesis fuzzing -------------------------------------------------------
@@ -503,52 +539,15 @@ class TestBlockCyclicEdgeCases:
         assert model.single_port_time((0,), (0,), 7.0) == 0.0
 
 
-# -- bound-and-prune differential ---------------------------------------------
-#
-# The LoCBS hole scan carries an admissible-bound early exit and a
-# dominance memo (repro.schedulers.locbs). Both claim to skip only probes
-# the unpruned scan could never have won, so flipping the kill switch must
-# not move a single float in any produced schedule.
+# -- tight-graph differential -------------------------------------------------
 
 
-@contextmanager
-def _pruning_disabled():
-    """Run with neutral bound terms: the seed's weak ``tau + et`` break only."""
-    prev = locbs_mod._PRUNING_ENABLED
-    locbs_mod._PRUNING_ENABLED = False
-    try:
-        yield
-    finally:
-        locbs_mod._PRUNING_ENABLED = prev
-
-
-def _schedule_rows(schedule):
-    return sorted(
-        (p.name, p.start, p.exec_start, p.finish, p.processors)
-        for p in schedule
-    )
-
-
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-@pytest.mark.parametrize("name", SCHEDULER_NAMES)
-class TestPruneDifferential:
-    def test_schedules_bit_identical_with_pruning_off(self, name, workload):
-        graph = WORKLOADS[workload]()
-        cluster = _cluster()
-        pruned = get_scheduler(name).schedule(graph, cluster)
-        with _pruning_disabled():
-            unpruned = get_scheduler(name).schedule(graph, cluster)
-        assert pruned.makespan == unpruned.makespan
-        assert _schedule_rows(pruned) == _schedule_rows(unpruned)
-        assert pruned.edge_comm_times == unpruned.edge_comm_times
-
-
-# Adversarially tight inputs for the prune fuzz: ``et = 0`` exactly is
+# Adversarially tight inputs for the scan fuzz: ``et = 0`` exactly is
 # rejected by profile validation, so sub-EPS execution times stand in for
 # it — they turn the busy rectangle into an EPS-empty reserve, the
 # tightest discretization the chart admits. Volumes are zero-heavy on
-# purpose: zero-volume parents collapse the transfer bound to 0 and the
-# locality map to empty, the degenerate corners of the bound arithmetic.
+# purpose: zero-volume parents collapse transfer times to 0 and the
+# locality map to empty, the degenerate corners of the scan arithmetic.
 _tiny_et = st.sampled_from([EPS / 4, EPS, 4 * EPS, 1e-6, 0.5, 3.0])
 _volumes = st.sampled_from([0.0, 0.0, 0.0, 1.0, 64.0, 1e6])
 
@@ -569,14 +568,14 @@ def _tight_graph(draw):
     return g
 
 
-class TestPruneFuzz:
+class TestTightGraphFuzz:
     @given(
         graph=_tight_graph(),
         procs=st.sampled_from([1, 2, 5]),
         overlap=st.booleans(),
     )
     @fuzz_settings
-    def test_adversarial_graphs_prune_on_off_and_reference_agree(
+    def test_adversarial_graphs_scan_and_reference_agree(
         self, graph, procs, overlap
     ):
         """P=1 machines, sub-EPS tasks, zero-volume edges: still identical."""
@@ -584,38 +583,11 @@ class TestPruneFuzz:
             num_processors=procs, bandwidth=MYRINET_2GBPS, overlap=overlap
         )
         fast = LocMpsScheduler(look_ahead_depth=2).schedule(graph, cluster)
-        with _pruning_disabled():
-            off = LocMpsScheduler(look_ahead_depth=2).schedule(graph, cluster)
         ref = ReferenceLocMpsScheduler(look_ahead_depth=2).schedule(
             graph, cluster
         )
-        assert _schedule_rows(fast) == _schedule_rows(off)
         assert _schedule_rows(fast) == _schedule_rows(ref)
         assert fast.makespan == ref.makespan
-
-    @given(
-        src=_layout,
-        dst=_layout,
-        vol=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
-    )
-    @fuzz_settings
-    def test_min_transfer_time_is_admissible_and_cached_exact(
-        self, src, dst, vol
-    ):
-        """``min_transfer_time(|S|, |D|, v) <= transfer_time(S, D, v)``.
-
-        This inequality over *every* concrete processor-set pair is the
-        entire soundness argument of the probe-ladder bound; the cached
-        copy must be the bit-exact model value.
-        """
-        cluster = Cluster(num_processors=32, bandwidth=1e9)
-        model = RedistributionModel(cluster)
-        lb = model.min_transfer_time(len(src), len(dst), vol)
-        assert lb <= model.transfer_time(src, dst, vol)
-        cache = CostCache(cluster)
-        assert cache.min_transfer_time(len(src), len(dst), vol) == lb
-        assert cache.min_transfer_time(len(src), len(dst), vol) == lb
-        assert cache.stats["min_transfer_hits"] == 1
 
     @given(data=_reserve_ops(), base=_starts)
     @fuzz_settings
@@ -637,7 +609,6 @@ class TestPruneFuzz:
         for after in probes:
             eager = tl.release_times(after)
             assert list(tl.release_times_after(after)) == eager
-            assert tl.release_count_after(after) == len(eager)
 
 
 class TestNoBackfillEpsMerge:

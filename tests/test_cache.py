@@ -304,9 +304,12 @@ class TestWarmStart:
         # whatever happened, the result is at least as good as cold
         assert schedule.makespan <= cold.makespan + 1e-9
 
-    def test_config_doc_records_seed(self):
-        sched = LocMpsScheduler(initial_allocation={"a": 2})
-        assert sched._config_kwargs()["initial_allocation"] == {"a": 2}
+    def test_seed_is_copied_at_construction(self):
+        seed = {"t0": 4}
+        warm = LocMpsScheduler(initial_allocation=seed)
+        seed["t0"] = 1  # the caller's later edits never reach the scheduler
+        assert warm.initial_allocation == {"t0": 4}
+        assert LocMpsScheduler().initial_allocation is None
 
 
 class TestCachedScheduleService:

@@ -24,8 +24,12 @@ from repro.schedulers import (
     ProvenanceRecorder,
     rank_regrets,
 )
+from repro.perf.golden import schedule_digest
+from repro.schedulers.costcache import CostCache
+from repro.schedulers.locbs import locbs_schedule
 from repro.schedulers.provenance import LOST, TOO_FEW_FREE, WON
 from repro.sim import ExecutionEngine
+from repro.utils.intervals import EPS
 
 from tests.helpers import build_random_graph
 
@@ -179,34 +183,37 @@ class TestExplainScheduler:
         assert losers
         assert all(c.margin >= 0.0 and math.isfinite(c.margin) for c in losers)
 
-    def test_pruning_does_not_change_explain_output(self):
-        """Provenance keeps probing past the bound: losers keep true margins.
+    def test_pruned_counts_the_probes_past_the_plain_bound(self):
+        """``pruned`` is the tail the production scan would never enter.
 
-        The recording scan counts bound-closed probes in ``pruned`` but
-        still times them, so every decision must list the same candidates
-        probe-for-probe whether the bound-and-prune layer is on or off.
+        Starts ascend and the best finish only shrinks, so once
+        ``tau + et >= best - EPS`` holds it holds for every later probe:
+        the bound-closed probes are exactly the last ``pruned``
+        candidates, none of them wins, and none could finish earlier.
         """
-        import repro.schedulers.locbs as locbs_mod
+        g, _, sched, _ = explained_schedule()
+        decisions = sched.provenance.decisions
+        assert sum(d.pruned for d in decisions) > 0
+        for d in decisions:
+            entered = len(d.candidates) - d.pruned
+            assert 0 <= d.winner < entered
+            et = g.et(d.task, d.width)
+            for c in d.candidates[entered:]:
+                assert c.outcome != WON
+                assert c.tau + et >= d.placement.finish - EPS
 
+    def test_probes_considered_matches_the_recorded_probes(self):
+        """The batch scan enters exactly the probes the bound admits."""
         g = build_random_graph(12, seed=3, ccr_volume=10e6)
         c = Cluster(num_processors=4, bandwidth=12.5e6)
-        on = LocMpsScheduler(explain=True)
-        on.schedule(g, c)
-        prev = locbs_mod._PRUNING_ENABLED
-        locbs_mod._PRUNING_ENABLED = False
-        try:
-            off = LocMpsScheduler(explain=True)
-            off.schedule(g, c)
-        finally:
-            locbs_mod._PRUNING_ENABLED = prev
-        assert len(on.provenance) == len(off.provenance)
-        for d_on, d_off in zip(on.provenance.decisions, off.provenance.decisions):
-            assert d_on.task == d_off.task
-            assert d_on.winner == d_off.winner
-            assert d_on.candidates == d_off.candidates
-            # the arms may disagree only on how many probes the bound
-            # *would* have closed (the neutral bound flags none)
-            assert d_on.pruned >= d_off.pruned
+        alloc = {t: 1 + i % 3 for i, t in enumerate(sorted(g.tasks()))}
+        cache = CostCache(c)
+        plain = locbs_schedule(g, c, alloc, cost_cache=cache).schedule
+        rec = ProvenanceRecorder()
+        recorded = locbs_schedule(g, c, alloc, provenance=rec).schedule
+        assert schedule_digest(plain) == schedule_digest(recorded)
+        entered = sum(len(d.candidates) - d.pruned for d in rec.decisions)
+        assert cache.stats["probes_considered"] == entered
 
     def test_placement_decision_events_reach_the_tracer(self):
         tr = Tracer()
@@ -220,10 +227,6 @@ class TestExplainScheduler:
             # strict-JSON serializable (no bare Infinity)
             json.loads(json.dumps(e.to_dict(), allow_nan=False))
             PlacementDecision.from_dict(e.fields)
-
-    def test_workers_never_inherit_explain(self):
-        sched = LocMpsScheduler(explain=True)
-        assert "explain" not in sched._config_kwargs()
 
 
 class TestAttribution:
@@ -378,7 +381,7 @@ class TestDashboard:
 
     def test_planned_fallback_collapses_lookahead_passes(self):
         # without sim or explain events, the heatmap falls back to
-        # task_placed — deduplicated, not every speculative pass overlaid
+        # task_placed — deduplicated, not every look-ahead pass overlaid
         tr = Tracer()
         g = build_random_graph(10, seed=7)
         c = Cluster(num_processors=4, bandwidth=12.5e6)

@@ -167,6 +167,24 @@ class TestSwf:
         with pytest.raises(ScheduleError):
             parse_swf("1 0 0 100")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1 nan 0 10 4 -1 -1 4", "non-finite submit time"),
+            ("1 inf 0 10 4 -1 -1 4", "non-finite submit time"),
+            ("1 -inf 0 10 4 -1 -1 4", "non-finite submit time"),
+            ("1 0 0 nan 4 -1 -1 4", "non-finite run time"),
+            ("1 0 0 inf 4 -1 -1 4", "non-finite run time"),
+            ("1 0 0 10 inf -1 -1 4", "non-finite allocated processors"),
+            ("1 0 0 10 4 -1 -1 nan", "non-finite requested processors"),
+            ("1 0 0 10 4 -1 -1 -inf", "non-finite requested processors"),
+            ("1 0 0 ten 4 -1 -1 4", "unparsable run time"),
+        ],
+    )
+    def test_bad_numeric_field_raises(self, line, message):
+        with pytest.raises(ScheduleError, match=f"SWF line 2: {message}"):
+            parse_swf(["; header", line])
+
     def test_jobs_clamp_width_to_cluster(self):
         jobs = jobs_from_swf(self.TRACE, Cluster(4, bandwidth=1e8))
         assert jobs[0].allocation == {"swf1/work": 4}  # 8 clamped to 4

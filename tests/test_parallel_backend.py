@@ -1,13 +1,9 @@
-"""The parallel scheduling backend: pools, speculative prefill, spools.
+"""The parallel scheduling backend: pools and spools.
 
-Three layers under test:
+Two layers under test:
 
 * every registered scheduler must survive a pickle round-trip (the
-  contract that lets sweeps and chain workers ship schedulers across
-  process boundaries);
-* ``LocMpsScheduler(parallel_workers=N)`` must be *bit-identical* to the
-  serial scheduler — same makespans, same placement digests, enforced
-  both directly and against the checked-in golden fingerprints;
+  contract that lets sweeps ship schedulers across process boundaries);
 * ``run_comparison(workers=N, tracer=...)`` must stream cells through the
   warm pool and merge every worker's spooled trace events exactly once.
 """
@@ -25,10 +21,7 @@ from repro.experiments.common import run_comparison
 from repro.obs import SpoolTracer, Tracer, merge_spool_dir
 from repro.parallel import SchedulerPool, default_chunksize
 from repro.perf.golden import schedule_digest
-from repro.perf.hotpath import wide_dag
-from repro.perf.parallel import check_parallel_golden
 from repro.schedulers import get_scheduler
-from repro.schedulers.locmps import LocMpsScheduler
 from repro.schedulers.registry import SCHEDULERS
 
 from tests.helpers import build_random_graph
@@ -80,63 +73,6 @@ class TestSchedulerPool:
         assert default_chunksize(0, 4) == 1
         assert default_chunksize(8, 2) == 1
         assert default_chunksize(100, 4) == 7
-
-
-# -- speculative prefill ---------------------------------------------------------
-
-
-class TestParallelWorkersIdentity:
-    def test_bit_identical_to_serial(self):
-        graph = wide_dag(18, seed=5)
-        cluster = Cluster(num_processors=8, bandwidth=1e9)
-        serial = LocMpsScheduler(look_ahead_depth=4).schedule(graph, cluster)
-        par_sched = LocMpsScheduler(look_ahead_depth=4, parallel_workers=2)
-        parallel = par_sched.schedule(graph, cluster)
-        assert parallel.makespan == serial.makespan
-        assert schedule_digest(parallel) == schedule_digest(serial)
-        stats = par_sched.prefill_stats
-        assert stats["chains_submitted"] > 0
-        assert stats["prefill_hits"] + stats["local_fallbacks"] > 0
-
-    def test_bit_identical_under_memo_eviction(self):
-        graph = wide_dag(14, seed=9)
-        cluster = Cluster(num_processors=8, bandwidth=1e9)
-        serial_sched = LocMpsScheduler(look_ahead_depth=4, memo_limit=8)
-        serial = serial_sched.schedule(graph, cluster)
-        par_sched = LocMpsScheduler(
-            look_ahead_depth=4, memo_limit=8, parallel_workers=2
-        )
-        parallel = par_sched.schedule(graph, cluster)
-        assert parallel.makespan == serial.makespan
-        assert schedule_digest(parallel) == schedule_digest(serial)
-        assert par_sched.memo_stats["evictions"] == serial_sched.memo_stats["evictions"]
-
-    def test_matches_golden_fingerprints(self):
-        # the checked-in golden entries were produced serially; the
-        # parallel backend must reproduce them bit for bit
-        assert check_parallel_golden(2) == []
-
-    def test_workers_one_is_serial_noop(self):
-        graph = wide_dag(12, seed=2)
-        cluster = Cluster(num_processors=4, bandwidth=1e9)
-        sched = LocMpsScheduler(look_ahead_depth=3, parallel_workers=1)
-        serial = LocMpsScheduler(look_ahead_depth=3).schedule(graph, cluster)
-        assert sched.schedule(graph, cluster).makespan == serial.makespan
-        assert sum(sched.prefill_stats.values()) == 0
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError, match="parallel_workers"):
-            LocMpsScheduler(parallel_workers=0)
-
-    def test_tracer_records_prefill_hits(self):
-        graph = wide_dag(12, seed=2)
-        cluster = Cluster(num_processors=4, bandwidth=1e9)
-        tracer = Tracer()
-        LocMpsScheduler(
-            look_ahead_depth=3, parallel_workers=2, tracer=tracer
-        ).schedule(graph, cluster)
-        names = {e.name for e in tracer.events}
-        assert "memo_prefill_hit" in names
 
 
 # -- spool merge -----------------------------------------------------------------
