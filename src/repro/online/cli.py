@@ -15,7 +15,8 @@ Two subcommands:
 
 Both accept ``--differential`` (run the cold-rebuild oracle per event and
 fail on any bit-level mismatch), admission knobs, and ``--json`` to dump
-the report. Exit status is nonzero when the differential check fails.
+the report. Exit status is 1 when the differential check fails and 2
+when the trace is rejected or a file cannot be read.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import sys
 from typing import List, Optional
 
 from repro.cluster import Cluster
+from repro.exceptions import ScheduleError
 from repro.online.admission import AdmissionPolicy
 from repro.online.arrivals import poisson_zipf_stream
 from repro.online.daemon import OnlineSchedulerDaemon
@@ -86,6 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ScheduleError, OSError) as exc:
+        # a rejected trace or an unreadable file is the user's input, not
+        # a crash: one line on stderr, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     cluster = Cluster(args.procs, bandwidth=args.bandwidth)
     if args.command == "synth":
         jobs: List[Job] = poisson_zipf_stream(

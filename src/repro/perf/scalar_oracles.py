@@ -88,7 +88,9 @@ class ScalarProcessorTimeline:
                     f"processor {p} already busy during [{start:g}, {end:g})"
                 )
         for p in plist:
-            idx = bisect_left(self._starts[p], start)
+            # after equal starts, as ProcessorTimeline.reserve does: keeps
+            # each row's ends sorted next to an EPS-long span
+            idx = bisect_right(self._starts[p], start)
             self._starts[p].insert(idx, start)
             self._ends[p].insert(idx, end)
         insort(self._release_times, end)

@@ -205,7 +205,10 @@ class ProcessorTimeline:
         starts2d, ends2d = self._starts2d, self._ends2d
         for r in rowlist:
             sl, el = starts_l[r], ends_l[r]
-            idx = bisect_left(sl, start)
+            # after equal starts: a span sharing this start was accepted
+            # only because it ends within EPS of it, so it must stay first
+            # for the row's ends to stay sorted
+            idx = bisect_right(sl, start)
             # spans may abut within EPS; *strict* overlap inside the
             # tolerance breaks the global busy-count identity
             if (idx > 0 and el[idx - 1] > start) or (

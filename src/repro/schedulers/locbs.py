@@ -33,6 +33,7 @@ from itertools import chain
 from typing import (
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -40,8 +41,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-import numpy as np
 
 from repro.cluster import Cluster
 from repro.exceptions import ScheduleError
@@ -235,14 +234,6 @@ def locbs_schedule(
     tracer = tracer or NULL_TRACER
     alloc = clamp_allocation(graph, cluster, allocation)
     cache = cost_cache if cost_cache is not None else CostCache(cluster)
-    inv = cache.graph_invariants(graph)
-
-    # Priorities (Algorithm 2, step 4): bottom level under the current
-    # allocation plus the heaviest inbound edge estimate. Both are fixed
-    # for the whole call, so they are computed once up front.
-    est_costs = cache.edge_cost_map(graph, alloc, comm_blind=options.comm_blind)
-    bl = _bottom_levels_under(inv, graph, alloc, est_costs)
-    prio = task_priorities(graph, bl, est_costs, preds=inv.preds)
 
     timeline = ProcessorTimeline(cluster.processors)
     if context is not None:
@@ -255,31 +246,15 @@ def locbs_schedule(
     edge_weights: Dict[Tuple[str, str], float] = {}
     sdag_pseudo: List[Tuple[str, str]] = []
 
-    preds = inv.preds
-    unplaced = set(graph.tasks())
-    placed_count: Dict[str, int] = {t: 0 for t in unplaced}
-    n_preds = {t: len(ps) for t, ps in preds.items()}
-    ready = ReadyQueue(prio)
-    for t in graph.tasks():
-        if n_preds[t] == 0:
-            ready.push(t)
-
-    while unplaced:
-        if not ready:
-            raise ScheduleError("no ready task but tasks remain: cyclic graph?")
-        tp = ready.pop()
-        unplaced.discard(tp)
-
-        placement, comm_times, est_tp = _place_task(
-            tp, preds[tp], graph, cluster, alloc, cache, timeline, schedule,
-            options, context, tracer, provenance,
-        )
+    for placement, comm_times, est_tp in _ready_loop(
+        graph, cluster, alloc, options, cache, timeline, context, tracer,
+        provenance,
+    ):
+        tp = placement.name
         if provenance is not None and tracer.enabled:
             tracer.event(
                 "placement_decision", **provenance.decisions[-1].to_dict()
             )
-        occupied_from = placement.start
-        timeline.reserve(placement.processors, placement.start, placement.finish)
         schedule.place(placement)
         index.add(placement)
         if tracer.enabled:
@@ -300,9 +275,9 @@ def locbs_schedule(
 
         # Pseudo-edges (Algorithm 2, steps 17-18): the task waited on
         # resources, not data — record which finishing tasks released them.
-        if occupied_from > est_tp + _PSEUDO_TOL:
+        if placement.start > est_tp + _PSEUDO_TOL:
             for blocker in index.blockers(
-                placement, occupied_from, tol=_PSEUDO_TOL
+                placement, placement.start, tol=_PSEUDO_TOL
             ):
                 sdag_pseudo.append((blocker, tp))
                 if tracer.enabled:
@@ -310,13 +285,8 @@ def locbs_schedule(
                         "pseudo_edge_added",
                         src=blocker,
                         dst=tp,
-                        wait=occupied_from - est_tp,
+                        wait=placement.start - est_tp,
                     )
-
-        for succ in inv.succs[tp]:
-            placed_count[succ] += 1
-            if placed_count[succ] == n_preds[succ] and succ in unplaced:
-                ready.push(succ)
 
     sdag = ScheduleDAG(graph, vertex_weights, edge_weights)
     for u, v in sdag_pseudo:
@@ -338,12 +308,12 @@ def splice_schedule(
     """Place *graph* into a **live** chart, mutating *timeline* in place.
 
     The online daemon's incremental hot path: where :func:`locbs_schedule`
-    starts from an empty machine, this runs the identical hole scan
-    against whatever busy intervals *timeline* already holds — an arriving
-    job is spliced around every committed placement, probing only
-    ``release_floor`` (its submission time) and the release times after
-    it, so the per-event cost scales with the job and the chart's *open*
-    holes, not with the accumulated history.
+    starts from an empty machine, this runs the identical ready-queue loop
+    and hole scan against whatever busy intervals *timeline* already
+    holds — an arriving job is spliced around every committed placement,
+    probing only ``release_floor`` (its submission time) and the release
+    times after it, so the per-event cost scales with the job and the
+    chart's *open* holes, not with the accumulated history.
 
     Determinism contract: the produced placements are a pure function of
     the chart's *content* (the timeline's sorted structures are
@@ -362,43 +332,65 @@ def splice_schedule(
     """
     alloc = clamp_allocation(graph, cluster, allocation)
     cache = cost_cache if cost_cache is not None else CostCache(cluster)
-    inv = cache.graph_invariants(graph)
     context = SchedulingContext(release_floor=release_floor)
-
-    est_costs = cache.edge_cost_map(graph, alloc, comm_blind=options.comm_blind)
-    bl = _bottom_levels_under(inv, graph, alloc, est_costs)
-    prio = task_priorities(graph, bl, est_costs, preds=inv.preds)
-
-    preds = inv.preds
-    placed: Dict[str, PlacedTask] = {}
     out: List[PlacedTask] = []
-    unplaced = set(graph.tasks())
-    placed_count: Dict[str, int] = {t: 0 for t in unplaced}
-    n_preds = {t: len(ps) for t, ps in preds.items()}
-    ready = ReadyQueue(prio)
-    for t in graph.tasks():
-        if n_preds[t] == 0:
-            ready.push(t)
-
-    while unplaced:
-        if not ready:
-            raise ScheduleError("no ready task but tasks remain: cyclic graph?")
-        tp = ready.pop()
-        unplaced.discard(tp)
-        placement, _comm, _est = _place_task(
-            tp, preds[tp], graph, cluster, alloc, cache, timeline, placed,
-            options, context,
-        )
-        timeline.reserve(placement.processors, placement.start, placement.finish)
-        placed[tp] = placement
+    for placement, _comm, _est in _ready_loop(
+        graph, cluster, alloc, options, cache, timeline, context
+    ):
         out.append(placement)
         if index is not None:
             index.add(placement)
-        for succ in inv.succs[tp]:
-            placed_count[succ] += 1
-            if placed_count[succ] == n_preds[succ] and succ in unplaced:
-                ready.push(succ)
     return out
+
+
+def _ready_loop(
+    graph: TaskGraph,
+    cluster: Cluster,
+    alloc: Mapping[str, int],
+    options: LocbsOptions,
+    cache: CostCache,
+    timeline: ProcessorTimeline,
+    context: Optional["SchedulingContext"],
+    tracer: Tracer = NULL_TRACER,
+    provenance: Optional[ProvenanceRecorder] = None,
+) -> Iterator[Tuple[PlacedTask, Dict[Tuple[str, str], float], float]]:
+    """The ready-queue loop of Algorithm 2, shared by both entry points.
+
+    Pops the highest-priority ready task, places it (:func:`_place_task`),
+    reserves it on *timeline* and yields ``(placement, comm_times, est)``
+    before releasing its successors.
+    """
+    inv = cache.graph_invariants(graph)
+    preds = inv.preds
+
+    # Priorities (Algorithm 2, step 4): bottom level under the current
+    # allocation plus the heaviest inbound edge estimate. Both are fixed
+    # for the whole call, so they are computed once up front.
+    est_costs = cache.edge_cost_map(graph, alloc, comm_blind=options.comm_blind)
+    bl = _bottom_levels_under(inv, graph, alloc, est_costs)
+    ready = ReadyQueue(task_priorities(graph, bl, est_costs, preds=preds))
+
+    waiting = {t: len(ps) for t, ps in preds.items()}
+    for t in graph.tasks():
+        if waiting[t] == 0:
+            ready.push(t)
+
+    placed: Dict[str, PlacedTask] = {}
+    for _ in range(len(waiting)):
+        if not ready:
+            raise ScheduleError("no ready task but tasks remain: cyclic graph?")
+        tp = ready.pop()
+        placement, comm_times, est_tp = _place_task(
+            tp, preds[tp], graph, cluster, alloc, cache, timeline, placed,
+            options, context, tracer, provenance,
+        )
+        timeline.reserve(placement.processors, placement.start, placement.finish)
+        placed[tp] = placement
+        yield placement, comm_times, est_tp
+        for succ in inv.succs[tp]:
+            waiting[succ] -= 1
+            if waiting[succ] == 0:
+                ready.push(succ)
 
 
 def _place_task(
@@ -407,21 +399,21 @@ def _place_task(
     graph: TaskGraph,
     cluster: Cluster,
     alloc: Mapping[str, int],
-    model: "TransferTimer",
+    cache: CostCache,
     timeline: ProcessorTimeline,
-    schedule: Schedule,
+    placed: Mapping[str, PlacedTask],
     options: LocbsOptions,
-    context: Optional["SchedulingContext"] = None,
-    tracer: Tracer = NULL_TRACER,
-    provenance: Optional[ProvenanceRecorder] = None,
+    context: Optional["SchedulingContext"],
+    tracer: Tracer,
+    provenance: Optional[ProvenanceRecorder],
 ) -> Tuple[PlacedTask, Dict[Tuple[str, str], float], float]:
     """Find the minimum-finish-time hole for *tp* (Algorithm 2, steps 5-16).
 
-    *parents* is *tp*'s predecessor list (the caller holds it cached in the
-    graph invariants). *model* is anything with a
-    ``transfer_time(src, dst, volume)`` method: the optimized path passes a
-    :class:`CostCache`, the naive reference in :mod:`repro.perf.reference`
-    the raw redistribution model.
+    *parents* is *tp*'s cached predecessor list, *placed* maps placed
+    tasks to their placements. The candidate starts — the data-ready time
+    plus the chart's release times (backfill) or the processors' latest
+    free times (no backfill) — go through the one hole scan, :func:`_scan`.
+    *provenance* turns on its probe sink; *tracer* gets the winner's events.
 
     Returns the placement, the actual per-in-edge communication times, and
     ``est(tp)`` (the data-ready lower bound used for pseudo-edge detection).
@@ -430,7 +422,7 @@ def _place_task(
     et = graph.et(tp, np_t)
     parent_info: List[Tuple[str, Tuple[int, ...], float, float]] = []
     for u in parents:
-        pu = schedule[u]
+        pu = placed[u]
         volume = 0.0 if options.comm_blind else graph.data_volume(u, tp)
         parent_info.append((u, pu.processors, pu.finish, volume))
     if context is not None:
@@ -458,10 +450,12 @@ def _place_task(
                 for p in procs:
                     locality[p] = locality.get(p, 0.0) + share
 
-    overlap = cluster.overlap
-    recording = provenance is not None
-    stats: Optional[Dict[str, int]] = getattr(model, "stats", None)
-
+    # Provenance bookkeeping, None-guarded so the default scan stays free
+    # of it: raw (tau, procs, start, exec_start, finish, tag) tuples are
+    # collected during the scan and frozen into CandidateProbes at the end,
+    # once the winner (and hence every loser's margin) is known.
+    probes: Optional[List[_Probe]] = None if provenance is None else []
+    latest_free: Optional[List[Tuple[int, float]]] = None
     candidates: Iterable[float]
     if options.backfill:
         # Only busy-interval *ends* can enlarge the idle set, so they (plus
@@ -472,208 +466,55 @@ def _place_task(
             (ready_base,), timeline.release_times_after(ready_base)
         )
     else:
-        eats = sorted({timeline.earliest_available(p) for p in cluster.processors})
-        raw = sorted({ready_base} | {t for t in eats if t > ready_base + EPS})
-        if recording:
-            candidates = raw
-        else:
-            # EPS-aware merge of near-equal start times, applied only where
-            # provably outcome-identical: the eligible set at tau is
-            # ``{p: eat_p <= tau + EPS}`` (horizons are all infinite here),
-            # so a candidate within EPS of the last kept one with no eat
-            # inside ``(kept + EPS, t + EPS]`` exposes the *identical* set
-            # -> identical chosen subset -> a finish nondecreasing in tau.
-            # It can never beat the kept probe (best updates require a
-            # strict EPS improvement), so dropping it preserves the
-            # schedule. Skipped while recording: provenance pins the full
-            # probe list.
-            merged = [raw[0]]
-            kept = raw[0]
-            kept_hi = bisect_right(eats, kept + EPS)
-            for t in raw[1:]:
-                hi = bisect_right(eats, t + EPS)
-                if t - kept <= EPS and hi == kept_hi:
-                    continue
-                merged.append(t)
-                kept, kept_hi = t, hi
-            candidates = merged
-
-    best: Optional[Tuple[float, float, float, Tuple[int, ...]]] = None
-    # best = (finish, start, exec_start, procs)
-    # interior-hole flag of the winning placement (a backfill proper: at
-    # least one chosen processor has a later reservation bounding the hole)
-    best_interior = False
-
-    # Batch-vectorized scan (the hot path): classification and subset
-    # selection for whole blocks of candidate start times run as numpy
-    # array passes, while all *timing* arithmetic stays in the same scalar
-    # operations as the reference loop below — so the two paths are
-    # bit-identical (differentially tested in
-    # ``tests/test_array_equivalence.py``). The scalar loop is kept for
-    # provenance recording and tracing (which probe candidates one at a
-    # time and annotate each) and for the no-backfill ablation.
-    if options.backfill and provenance is None and not tracer.enabled:
-        best, considered = _scan_batch(
-            candidates, np_t, et, parent_info, locality, model, timeline,
-            overlap,
+        latest_free = [
+            (p, timeline.earliest_available(p)) for p in cluster.processors
+        ]
+        candidates = _latest_free_ladder(
+            ready_base, latest_free, merge=probes is None
         )
-        if stats is not None:
-            stats["probes_considered"] += considered
-        if best is None:
-            raise ScheduleError(f"no feasible slot found for task {tp!r}")
-        finish, start, exec_start, chosen = best
-        placement = PlacedTask(
-            name=tp, start=start, exec_start=exec_start, finish=finish,
-            processors=chosen,
-        )
-        comm_times = {
-            (u, tp): model.transfer_time(procs, chosen, volume)
-            for u, procs, _, volume in parent_info
-        }
-        est_tp = max(
-            (ft + comm_times[(u, tp)] for u, _, ft, _ in parent_info),
-            default=0.0,
-        )
-        return placement, comm_times, est_tp
-    # Provenance bookkeeping, None-guarded so the default scan stays free
-    # of it: raw (tau, procs, start, exec_start, finish, tag) tuples are
-    # collected during the scan and frozen into CandidateProbes at the end,
-    # once the winner (and hence every loser's margin) is known.
-    probes: List[Tuple[float, Tuple[int, ...], float, float, float, str]] = []
-    winner_probe = -1
-    entered = 0
-    pruned_by_bound = 0
-    # The chart is frozen for the whole scan, so an incremental sweep can
-    # replace the from-scratch idle query per candidate. Built lazily: most
-    # placements settle on the first candidate (where the sweep has no
-    # advantage over one plain query) and never pay for its event heap.
-    sweep: Optional[IdleSweep] = None
-    first_probe = True
 
-    for tau in candidates:
-        if best is not None:
-            if tau + et >= best[0] - EPS:
-                # No later start can beat the current finish time: every
-                # feasible placement at tau finishes at ``tau + et`` or
-                # later. When recording, keep probing anyway — the extra
-                # probes are exactly the losing alternatives the regret
-                # list needs true margins for.
-                if not recording:
-                    break
-                pruned_by_bound += 1
-        entered += 1
-        if options.backfill:
-            if first_probe:
-                first_probe = False
-                free = timeline.idle_with_horizon(tau)
-                if len(free) < np_t:
-                    if recording:
-                        probes.append(
-                            (tau, (), math.inf, math.inf, math.inf,
-                             TOO_FEW_FREE)
-                        )
-                    continue
-            else:
-                if sweep is None:
-                    sweep = timeline.idle_sweep(tau)
-                else:
-                    sweep.advance(tau)
-                if len(sweep) < np_t:
-                    if recording:
-                        probes.append(
-                            (tau, (), math.inf, math.inf, math.inf,
-                             TOO_FEW_FREE)
-                        )
-                    continue
-                free = sweep.free_pairs()
-        else:
-            free = [
-                (p, float("inf"))
-                for p in cluster.processors
-                if timeline.earliest_available(p) <= tau + EPS
-            ]
-        if len(free) < np_t:
-            if recording:
-                probes.append(
-                    (tau, (), math.inf, math.inf, math.inf, TOO_FEW_FREE)
-                )
-            continue
-        # First try the maximum-locality subset; if its hole is too short
-        # for the resulting window, retry among processors whose idle hole
-        # covers it (Algorithm 2 only considers holes with dur >= et).
-        chosen = _pick_by_locality(free, np_t, locality)
-        trial = _time_placement(chosen, tau, et, parent_info, model, cluster.overlap)
-        start, exec_start, finish = trial
-        if not timeline.is_free(chosen, start, finish):
-            roomy = [ph for ph in free if ph[1] >= finish - EPS]
-            if len(roomy) < np_t:
-                if recording:
-                    probes.append(
-                        (tau, chosen, start, exec_start, finish,
-                         HOLE_TOO_SHORT)
-                    )
-                continue
-            chosen = _pick_by_locality(roomy, np_t, locality)
-            trial = _time_placement(
-                chosen, tau, et, parent_info, model, cluster.overlap
-            )
-            start, exec_start, finish = trial
-            if not timeline.is_free(chosen, start, finish):
-                if recording:
-                    probes.append(
-                        (tau, chosen, start, exec_start, finish,
-                         HOLE_TOO_SHORT)
-                    )
-                continue
-        if recording:
-            probes.append((tau, chosen, start, exec_start, finish, LOST))
-        if best is None or finish < best[0] - EPS:
-            best = (finish, start, exec_start, chosen)
-            if recording:
-                winner_probe = len(probes) - 1
-            if tracer.enabled:
-                horizons = dict(free)
-                best_interior = any(
-                    math.isfinite(horizons.get(p, math.inf)) for p in chosen
-                )
-
-    if stats is not None and not recording:
-        # Hot-path telemetry only: the recording (explain) re-run probes
-        # past the bound on purpose and must not skew the probe counts.
-        stats["probes_considered"] += entered
-
+    best, entered = _scan(
+        candidates, np_t, et, parent_info, locality, cache, timeline,
+        cluster.overlap, latest_free, probes,
+    )
     if best is None:
         # Unreachable: the final candidate (the chart horizon) always has all
         # processors free forever. Guard anyway.
         raise ScheduleError(f"no feasible slot found for task {tp!r}")
 
-    finish, start, exec_start, chosen = best
+    finish, start, exec_start, chosen, won_tau = best
     placement = PlacedTask(
         name=tp, start=start, exec_start=exec_start, finish=finish, processors=chosen
     )
     comm_times = {
-        (u, tp): model.transfer_time(procs, chosen, volume)
+        (u, tp): cache.transfer_time(procs, chosen, volume)
         for u, procs, _, volume in parent_info
     }
     est_tp = max(
         (ft + comm_times[(u, tp)] for u, _, ft, _ in parent_info),
         default=0.0,
     )
-    if recording:
-        winner_finish = finish
+    if probes is None:
+        # Hot-path telemetry only: the recording (explain) re-run must not
+        # count the same placements twice.
+        cache.stats["probes_considered"] += entered
+    else:
+        winner_probe = -1
         cands: List[CandidateProbe] = []
         for i, (c_tau, procs, c_start, c_exec, c_finish, tag) in enumerate(
             probes
         ):
             if tag is LOST:  # feasible probe: won or lost on finish time
-                won = i == winner_probe
+                won = c_tau == won_tau  # one probe per candidate start
+                if won:
+                    winner_probe = i
                 outcome = WON if won else LOST
-                margin = 0.0 if won else max(0.0, c_finish - winner_finish)
+                margin = 0.0 if won else max(0.0, c_finish - finish)
             else:
                 outcome, margin = tag, math.inf
             comm = (
                 sum(
-                    model.transfer_time(pp, procs, vol)
+                    cache.transfer_time(pp, procs, vol)
                     for _, pp, _, vol in parent_info
                 )
                 if procs
@@ -699,11 +540,16 @@ def _place_task(
                 ready_time=ready_base,
                 candidates=cands,
                 winner=winner_probe,
-                pruned=pruned_by_bound,
+                pruned=len(probes) - entered,
             )
         )
     if tracer.enabled:
-        if best_interior:
+        # A backfill proper: some chosen processor has a later reservation
+        # bounding the hole it was picked from (latest-free probing sees
+        # every horizon as infinite, so it never backfills).
+        if options.backfill and any(
+            math.isfinite(timeline.free_horizon(p, won_tau)) for p in chosen
+        ):
             tracer.event("backfill_hit", task=tp, start=start, finish=finish)
         if locality:
             resident = sum(locality.get(p, 0.0) for p in chosen)
@@ -717,50 +563,94 @@ def _place_task(
     return placement, comm_times, est_tp
 
 
-def _scan_batch(
+def _latest_free_ladder(
+    ready_base: float,
+    latest_free: Sequence[Tuple[int, float]],
+    merge: bool,
+) -> List[float]:
+    """No-backfill candidate starts: *ready_base* plus the later free times.
+
+    With *merge*, near-equal start times are merged where provably
+    outcome-identical: the eligible set at tau is ``{p: eat_p <= tau +
+    EPS}``, so a candidate within EPS of the last kept one with no eat
+    inside ``(kept + EPS, t + EPS]`` exposes the *identical* set ->
+    identical chosen subset -> a finish nondecreasing in tau. It can never
+    beat the kept probe (best updates require a strict EPS improvement),
+    so dropping it preserves the schedule. The recording scan passes
+    ``merge=False``: provenance pins the full probe list.
+    """
+    eats = sorted({eat for _, eat in latest_free})
+    raw = sorted({ready_base} | {t for t in eats if t > ready_base + EPS})
+    if not merge:
+        return raw
+    merged = [raw[0]]
+    kept = raw[0]
+    kept_hi = bisect_right(eats, kept + EPS)
+    for t in raw[1:]:
+        hi = bisect_right(eats, t + EPS)
+        if t - kept <= EPS and hi == kept_hi:
+            continue
+        merged.append(t)
+        kept, kept_hi = t, hi
+    return merged
+
+
+#: one raw probe record: (tau, procs, start, exec_start, finish, tag)
+_Probe = Tuple[float, Tuple[int, ...], float, float, float, str]
+
+#: the (start, exec_start, finish) of a probe that never yielded a subset
+_NO_TRIAL = (math.inf, math.inf, math.inf)
+
+
+def _scan(
     candidates: Iterable[float],
     np_t: int,
     et: float,
     parent_info: Sequence[Tuple[str, Tuple[int, ...], float, float]],
     locality: Mapping[int, float],
-    model: "TransferTimer",
+    model: TransferTimer,
     timeline: ProcessorTimeline,
     overlap: bool,
-) -> Tuple[Optional[Tuple[float, float, float, Tuple[int, ...]]], int]:
-    """The hole scan of Algorithm 2, restructured around the array chart.
+    latest_free: Optional[Sequence[Tuple[int, float]]] = None,
+    probes: Optional[List[_Probe]] = None,
+) -> Tuple[Optional[Tuple[float, float, float, Tuple[int, ...], float]], int]:
+    """The hole scan of Algorithm 2 — the only one LoCBS runs.
 
-    The scalar loop classifies the whole machine at every candidate start
-    time and ranks all idle processors. This version splits that work by
-    how often each part actually decides anything:
+    Candidate start times are probed in ascending order: classify the idle
+    processors, take the maximum-locality subset (key ``(-locality,
+    -horizon, proc)``), time its window, check it against the chart, and
+    keep the earliest finish (strict ``EPS`` improvement). The scan stops
+    at the first ``tau`` with ``tau + et >= best_finish - EPS``: nothing
+    starting there or later can finish earlier. Three shortcuts keep it
+    cheap without changing a single choice:
 
-    * **Subset selection** — the scalar key ``(-locality, -horizon, proc)``
-      ranks whole *locality groups* before individual horizons ever matter.
-      Walking the (few, small) groups in descending share order and probing
-      only their members — one ``bisect`` per member — reproduces the full
-      ranking whenever the groups alone cover the allocation; horizons
-      break ties inside the one group that straddles the cut. Only when
-      zero-locality processors are needed does the scan fall back to the
-      full classification plus :func:`_pick_by_locality` (identical keys).
-    * **Timing** — trial timings depend on the chosen subset, not the
-      probe time, so they are memoized per subset; the arithmetic is the
-      same scalar float operations as :func:`_time_placement` (transfer
-      sums in parent order, comparison-based maxima), keeping the two
-      paths bit-identical (differentially tested in
-      ``tests/test_array_equivalence.py``).
-    * **Classification** — when a full idle classification is unavoidable,
-      the first one is a plain :meth:`ProcessorTimeline.idle_with_horizon`
-      query and every later one comes from an :class:`IdleSweep` advanced
-      to the probe time, so repeated classifications cost only the state
-      flips between consecutive probes.
+    * **Locality groups** — the key ranks whole groups of equal resident
+      share before horizons matter, so walking the groups in descending
+      share order (one ``bisect`` per member) picks the subset whenever
+      the groups alone cover the allocation; horizons break ties inside
+      the group that straddles the cut. Otherwise the scan classifies the
+      machine and ranks it with :func:`_pick_by_locality`.
+    * **Timing memo** — trial timings depend on the subset, not the probe
+      time, so they are memoized per subset.
+    * **Lazy classification** — the first full classification is a plain
+      :meth:`ProcessorTimeline.idle_with_horizon` query, later ones
+      advance one :class:`IdleSweep`; while the chart's busy count is
+      exact, two binary searches skip start times with too few idle
+      processors before any classification.
 
-    The sequential semantics are preserved exactly: candidates are
-    consumed in ascending order, the ``tau + et >= best_finish - EPS``
-    break stops the scan at the same probe as the scalar loop, and
-    infeasible locality picks run the scalar roomy retry verbatim.
+    *latest_free* (``(proc, eat)`` pairs) switches to the no-backfill
+    ablation: a processor is idle at ``tau`` iff ``eat <= tau + EPS``,
+    forever; the group walk and the busy-count skip read holes, so are off.
 
-    Returns ``(best, considered)``: the winning placement and the number
-    of probes entered (lazily generated candidates past the break are
-    never materialized).
+    *probes* (optional) is the provenance sink: every probe appends its
+    raw ``(tau, procs, start, exec_start, finish, tag)`` record, and the
+    scan keeps probing past the bound — those probes only give the losers
+    their true margins, never a new winner.
+
+    Bit-identical to the frozen seed scan in :mod:`repro.perf.reference`
+    (``tests/test_array_equivalence.py``). Returns ``(best, entered)``:
+    the winning ``(finish, start, exec_start, procs, tau)`` and the number
+    of probes entered before the bound closed the ladder.
     """
     P = len(timeline.processors)
     row_of = timeline._row
@@ -769,14 +659,14 @@ def _scan_batch(
     ends_l = timeline._ends_l
     all_starts = timeline._all_starts
     all_ends = timeline._all_ends
-    counts_ok = timeline.counts_exact
+    count_skip = timeline.counts_exact and latest_free is None
 
     # Locality groups: shares descending, members ascending. Equal-share
     # processors are common (a one-parent task spreads volume/width evenly),
     # so groups are few and the descending walk mirrors the sort key. Rows
     # are resolved once here — the walk re-probes every member per probe.
     groups: List[List[Tuple[int, int]]] = []
-    if locality:
+    if locality and latest_free is None:
         by_val: Dict[float, List[int]] = {}
         for p, v in locality.items():
             by_val.setdefault(v, []).append(p)
@@ -785,15 +675,59 @@ def _scan_batch(
             for v in sorted(by_val, reverse=True)
         ]
 
-    best: Optional[Tuple[float, float, float, Tuple[int, ...]]] = None
-    entered = 0
-    #: chosen subset -> data-ready max (overlap) / comm sum (non-overlap)
-    timing_memo: Dict[Tuple[int, ...], float] = {}
     #: lazy classification ladder: the first unavoidable classification is
     #: a plain query, the second builds the incremental sweep, later ones
     #: just advance it (probe times ascend; chart frozen during the scan)
     sweep: Optional[IdleSweep] = None
-    classified = False
+    queried = False
+
+    def classify(tau: float) -> List[Tuple[int, float]]:
+        """``(proc, horizon)`` of every processor idle at *tau*."""
+        nonlocal sweep, queried
+        if latest_free is not None:
+            tol = tau + EPS
+            return [(p, math.inf) for p, eat in latest_free if eat <= tol]
+        if sweep is not None:
+            sweep.advance(tau)
+        elif queried:
+            sweep = timeline.idle_sweep(tau)
+        else:
+            queried = True
+            return timeline.idle_with_horizon(tau)
+        return sweep.free_pairs()
+
+    #: chosen subset -> data-ready max (overlap) / comm sum (non-overlap)
+    timing_memo: Dict[Tuple[int, ...], float] = {}
+
+    def trial(chosen: Tuple[int, ...], tau: float) -> Tuple[float, ...]:
+        """``(start, exec_start, finish)`` of *chosen* at hole start *tau*.
+
+        Without overlap the redistribution runs on the destination ahead
+        of the computation; with it, it only delays the computation.
+        """
+        known = timing_memo.get(chosen)
+        if overlap:
+            if known is None:
+                known = -math.inf
+                for _, pprocs, ft, volume in parent_info:
+                    arrival = ft + model.transfer_time(pprocs, chosen, volume)
+                    if arrival > known:
+                        known = arrival
+                timing_memo[chosen] = known
+            start = known if known > tau else tau
+            return start, start, start + et
+        if known is None:
+            known = 0.0
+            for _, pprocs, _, volume in parent_info:
+                known += model.transfer_time(pprocs, chosen, volume)
+            timing_memo[chosen] = known
+        # every candidate is >= ready_base = max parent finish, so the
+        # transfer can start at tau itself
+        exec_start = tau + known
+        return tau, exec_start, exec_start + et
+
+    best: Optional[Tuple[float, float, float, Tuple[int, ...], float]] = None
+    entered = 0
     #: keep walking the locality groups only while the walk keeps covering
     #: the allocation — it succeeds at uncontended probes (parents just
     #: released their processors) and reliably fails at contended ones,
@@ -803,17 +737,21 @@ def _scan_batch(
         if best is not None and tau + et >= best[0] - EPS:
             # no placement at (or after) tau can finish before tau + et,
             # so the ladder is closed
-            break
-        entered += 1
+            if probes is None:
+                break
+        else:
+            entered += 1
         tol = tau + EPS
-        if counts_ok and not try_groups:
+        if count_skip and not try_groups:
             # Global busy-count identity: two binary searches skip start
             # times with too few idle processors before the sweep is even
             # advanced (the deferred events are processed — amortized — at
             # the next surviving probe).
             busy = bisect_right(all_starts, tol) - bisect_right(all_ends, tol)
             if P - busy < np_t:
-                continue  # == the scalar len(free) < np_t skip
+                if probes is not None:
+                    probes.append((tau, (), *_NO_TRIAL, TOO_FEW_FREE))
+                continue
         free: Optional[List[Tuple[int, float]]] = None
         # -- subset selection -------------------------------------------------
         need = np_t
@@ -838,8 +776,8 @@ def _scan_batch(
                         break
                 else:
                     # the cut falls inside this group: ties break on
-                    # (-horizon, proc), exactly the scalar key's tail
-                    gf.sort(key=_HP_KEY)
+                    # (-horizon, proc), exactly the full key's tail
+                    gf.sort(key=_hp_key)
                     chosen_ph.extend(gf[:need])
                     need = 0
                     break
@@ -850,49 +788,14 @@ def _scan_batch(
             chosen = tuple(sorted(p for p, _ in chosen_ph))
         else:
             # zero-locality processors are needed: full classification and
-            # the scalar ranking (identical keys, so identical choice)
-            if sweep is not None:
-                sweep.advance(tau)
-                if len(sweep) < np_t:
-                    continue  # == the scalar len(free) < np_t skip
-                free = sweep.free_pairs()
-            elif classified:
-                sweep = timeline.idle_sweep(tau)
-                if len(sweep) < np_t:
-                    continue
-                free = sweep.free_pairs()
-            else:
-                classified = True
-                free = timeline.idle_with_horizon(tau)
-                if len(free) < np_t:
-                    continue
+            # the full ranking (identical keys, so identical choice)
+            free = classify(tau)
+            if len(free) < np_t:
+                if probes is not None:
+                    probes.append((tau, (), *_NO_TRIAL, TOO_FEW_FREE))
+                continue
             chosen = _pick_by_locality(free, np_t, locality)
-        # -- trial timing (memoized per subset; scalar float ops) -------------
-        known = timing_memo.get(chosen)
-        if overlap:
-            if known is None:
-                known = -math.inf
-                for _, pprocs, ft, volume in parent_info:
-                    arrival = ft + model.transfer_time(pprocs, chosen, volume)
-                    if arrival > known:
-                        known = arrival
-                timing_memo[chosen] = known
-            # max(tau, data_ready) via the same comparison as the scalar
-            # loop (data_ready starts at tau there)
-            start = known if known > tau else tau
-            exec_start = start
-            finish = exec_start + et
-        else:
-            if known is None:
-                known = 0.0
-                for _, pprocs, _, volume in parent_info:
-                    known += model.transfer_time(pprocs, chosen, volume)
-                timing_memo[chosen] = known
-            # every candidate is >= ready_base = max parent finish, so the
-            # scalar ready-maximum always resolves to tau itself
-            start = tau
-            exec_start = start + known
-            finish = exec_start + et
+        start, exec_start, finish = trial(chosen, tau)
         # -- feasibility -------------------------------------------------------
         if fast and start == tau:
             # starting inside the probed hole: feasibility is exactly
@@ -906,37 +809,32 @@ def _scan_batch(
         else:
             fits = timeline.is_free(chosen, start, finish)
         if not fits:
-            # scalar roomy retry, verbatim on this probe's idle pairs
+            # the hole is too short for this window: retry among the
+            # processors whose idle hole covers it (Algorithm 2 only
+            # considers holes with dur >= et)
             if free is None:
-                if sweep is not None:
-                    sweep.advance(tau)
-                    free = sweep.free_pairs()
-                elif classified:
-                    sweep = timeline.idle_sweep(tau)
-                    free = sweep.free_pairs()
-                else:
-                    classified = True
-                    free = timeline.idle_with_horizon(tau)
+                free = classify(tau)
             roomy = [ph for ph in free if ph[1] >= finish - EPS]
-            if len(roomy) < np_t:
+            if len(roomy) >= np_t:
+                chosen = _pick_by_locality(roomy, np_t, locality)
+                start, exec_start, finish = trial(chosen, tau)
+                fits = timeline.is_free(chosen, start, finish)
+            if not fits:
+                if probes is not None:
+                    probes.append(
+                        (tau, chosen, start, exec_start, finish, HOLE_TOO_SHORT)
+                    )
                 continue
-            chosen = _pick_by_locality(roomy, np_t, locality)
-            start, exec_start, finish = _time_placement(
-                chosen, tau, et, parent_info, model, overlap
-            )
-            if not timeline.is_free(chosen, start, finish):
-                continue
+        if probes is not None:
+            probes.append((tau, chosen, start, exec_start, finish, LOST))
         if best is None or finish < best[0] - EPS:
-            best = (finish, start, exec_start, chosen)
+            best = (finish, start, exec_start, chosen, tau)
     return best, entered
 
 
 def _hp_key(ph: Tuple[int, float]) -> Tuple[float, int]:
-    """``(-horizon, proc)`` — the within-group tie-break of the scalar key."""
+    """``(-horizon, proc)`` — the within-group tie-break of the full key."""
     return (-ph[1], ph[0])
-
-
-_HP_KEY = _hp_key
 
 
 def _pick_by_locality(
@@ -969,35 +867,3 @@ def _pick_by_locality(
         # idle horizon only.
         ranked = sorted((-h, p) for p, h in free)
     return tuple(sorted(r[-1] for r in ranked[:np_t]))
-
-
-def _time_placement(
-    chosen: Tuple[int, ...],
-    tau: float,
-    et: float,
-    parent_info: Sequence[Tuple[str, Tuple[int, ...], float, float]],
-    model: "TransferTimer",
-    overlap: bool,
-) -> Tuple[float, float, float]:
-    """``(start, exec_start, finish)`` of placing the task at hole start *tau*.
-
-    With overlap, redistribution only delays the computation start; without,
-    it serializes on the destination processors ahead of the computation.
-    """
-    if overlap:
-        data_ready = tau
-        for _, procs, ft, volume in parent_info:
-            arrival = ft + model.transfer_time(procs, chosen, volume)
-            if arrival > data_ready:
-                data_ready = arrival
-        exec_start = max(tau, data_ready)
-        return exec_start, exec_start, exec_start + et
-    comm = 0.0
-    ready = tau
-    for _, procs, ft, volume in parent_info:
-        comm += model.transfer_time(procs, chosen, volume)
-        if ft > ready:
-            ready = ft
-    start = max(tau, ready)
-    exec_start = start + comm
-    return start, exec_start, exec_start + et

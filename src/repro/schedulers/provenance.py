@@ -18,10 +18,13 @@ feed three consumers:
 * the HTML dashboard (``python -m repro.obs dashboard``), which renders
   the per-task drill-down from the trace JSONL.
 
-Recording is strictly opt-in: the hot hole-scan path carries a single
-``provenance is not None`` test per placement, so ``explain=False`` (the
-default) leaves schedules and wall-clock untouched — the golden
-fingerprint suite enforces the former.
+Recording is strictly opt-in and runs the production hole scan itself:
+a recorder hands the scan a probe sink, which collects every probe's raw
+timing and keeps the scan probing past its early-exit bound (those
+probes give the losers their true margins, never a new winner). Without
+a recorder the scan carries one ``probes is not None`` test per probe
+outcome, so ``explain=False`` (the default) leaves schedules and
+wall-clock untouched — the golden fingerprint suite enforces the former.
 """
 
 from __future__ import annotations

@@ -26,6 +26,8 @@ At ``sigma == 1`` both branches coincide.
 
 from __future__ import annotations
 
+import math
+
 from repro.speedup.base import SpeedupModel
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -38,8 +40,10 @@ class DowneySpeedup(SpeedupModel):
     __slots__ = ("A", "sigma")
 
     def __init__(self, A: float, sigma: float) -> None:
-        if A < 1:
-            raise ValueError(f"average parallelism A must be >= 1, got {A}")
+        if not (math.isfinite(A) and A >= 1):
+            raise ValueError(
+                f"average parallelism A must be finite and >= 1, got {A}"
+            )
         self.A = float(A)
         self.sigma = check_non_negative(sigma, "sigma")
 

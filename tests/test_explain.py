@@ -215,6 +215,22 @@ class TestExplainScheduler:
         entered = sum(len(d.candidates) - d.pruned for d in rec.decisions)
         assert cache.stats["probes_considered"] == entered
 
+    @pytest.mark.parametrize("backfill", [True, False])
+    def test_traced_run_is_the_untraced_run(self, backfill):
+        """Tracing observes the production scan; it never replaces it."""
+        g = build_random_graph(12, seed=3, ccr_volume=10e6)
+        c = Cluster(num_processors=4, bandwidth=12.5e6)
+        plain = LocMpsScheduler(backfill=backfill)
+        traced = LocMpsScheduler(backfill=backfill, tracer=Tracer())
+        assert schedule_digest(traced.schedule(g, c)) == schedule_digest(
+            plain.schedule(g, c)
+        )
+        assert (
+            traced.cost_cache_stats["probes_considered"]
+            == plain.cost_cache_stats["probes_considered"]
+            > 0
+        )
+
     def test_placement_decision_events_reach_the_tracer(self):
         tr = Tracer()
         g = build_random_graph(10, seed=7, ccr_volume=10e6)

@@ -196,6 +196,26 @@ class TestSwf:
         jobs = jobs_from_swf(self.TRACE, Cluster(16), max_jobs=1)
         assert len(jobs) == 1
 
+    def test_cli_reports_a_rejected_trace_without_a_traceback(
+        self, tmp_path, capsys
+    ):
+        from repro.online.cli import main
+
+        trace = tmp_path / "bad.swf"
+        trace.write_text("; header\n1 nan 0 10 4 -1 -1 4\n")
+        assert main(["swf", str(trace), "--procs", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: SWF line 2: non-finite submit time 'nan'\n"
+        )
+
+    def test_cli_reports_a_missing_trace_file(self, tmp_path, capsys):
+        from repro.online.cli import main
+
+        missing = tmp_path / "missing.swf"
+        assert main(["swf", str(missing), "--procs", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
 
 class TestSpliceEquivalence:
     def test_splice_on_empty_chart_matches_locbs(self):

@@ -71,6 +71,15 @@ class TestErrors:
         with pytest.raises(GraphError, match="unknown speedup model"):
             graph_from_dict(doc)
 
+    @pytest.mark.parametrize("A", [float("nan"), float("inf")])
+    def test_non_finite_downey_parallelism_rejected(self, A):
+        # NaN compares False against any bound, so it needs its own check:
+        # it must fail at load time, not deep inside LoCBS
+        doc = graph_to_dict(make_graph())
+        doc["tasks"][0]["model"]["A"] = A
+        with pytest.raises(ValueError, match="A must be finite"):
+            graph_from_dict(doc)
+
     def test_unregistered_model_rejected_on_encode(self):
         class Weird(SpeedupModel):
             def speedup(self, n):

@@ -30,6 +30,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             DowneySpeedup(0.5, 1.0)
 
+    @pytest.mark.parametrize("A", [float("nan"), float("inf")])
+    def test_rejects_non_finite_A(self, A):
+        with pytest.raises(ValueError, match="finite"):
+            DowneySpeedup(A, 1.0)
+
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             DowneySpeedup(4, -0.1)
