@@ -17,6 +17,7 @@ walk per arrival.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -64,6 +65,10 @@ class Job:
     finish: Optional[float] = None  #: latest placed finish
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival):
+            raise ScheduleError(
+                f"job {self.job_id!r} has non-finite arrival {self.arrival}"
+            )
         if self.arrival < 0:
             raise ScheduleError(
                 f"job {self.job_id!r} has negative arrival {self.arrival}"

@@ -19,12 +19,12 @@ new job. Because the chart's sorted structures are content-determined
 arms must produce bit-identical placements on every event; the daemon's
 ``differential=True`` mode asserts exactly that, reusing the oracle
 pattern of ``tests/test_array_equivalence.py``. The cold arm is also the
-honest baseline the ``BENCH_online.json`` speedup is measured against:
-its per-event cost grows with history (it re-prices every historical
-hole scan), which is precisely what cold-starting LoCBS per event costs.
+honest baseline for the incremental arm's speedup: its per-event cost
+grows with history (it re-prices every historical hole scan), which is
+precisely what cold-starting LoCBS per event costs.
 
 Both arms report the ``probes_considered`` delta (hole-ladder probes
-entered) per placement, so CI can assert the incremental arm priced
+entered) per placement, so the tests can assert the incremental arm priced
 *strictly fewer* candidate holes than the cold rebuild.
 """
 

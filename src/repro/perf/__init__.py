@@ -1,15 +1,15 @@
-"""Performance harness: hot-path micro-benchmarks and golden fingerprints.
-
-Three pieces back the incremental scheduling engine:
+"""Schedule-equivalence gates: golden fingerprints and frozen references.
 
 * :mod:`repro.perf.reference` — the naive pre-optimization implementations
   (sort-based ready queue, full-schedule blocker scan, uncached costs)
-  kept alive as the equivalence oracle and benchmark baseline;
-* :mod:`repro.perf.hotpath` — timed suites producing the machine-readable
-  ``BENCH_hotpath.json`` perf trajectory (``python -m repro.perf hotpath``);
+  kept alive as the equivalence oracle;
+* :mod:`repro.perf.scalar_oracles` — the frozen pre-numpy timeline and
+  redistribution code the differential battery compares against;
 * :mod:`repro.perf.golden` — exact makespan/placement fingerprints of every
   registered scheduler, guarding against schedule drift
   (``python -m repro.perf golden --check``).
+
+Performance is measured by ``perfbench/run.py`` (see ``BENCHMARK.json``).
 """
 
 from repro.perf.golden import (
@@ -20,35 +20,19 @@ from repro.perf.golden import (
     schedule_digest,
     write_golden,
 )
-from repro.perf.hotpath import (
-    SuiteSpec,
-    build_suites,
-    deep_dag,
-    run_hotpath,
-    run_suite,
-    wide_dag,
-)
 from repro.perf.reference import (
     ReferenceLocMpsScheduler,
     locbs_schedule_reference,
     scan_blockers,
 )
-from repro.perf.schema import BENCH_SCHEMA_VERSION
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
     "GOLDEN_PATH",
     "check_golden",
     "compute_golden",
     "golden_cases",
     "schedule_digest",
     "write_golden",
-    "SuiteSpec",
-    "build_suites",
-    "deep_dag",
-    "run_hotpath",
-    "run_suite",
-    "wide_dag",
     "ReferenceLocMpsScheduler",
     "locbs_schedule_reference",
     "scan_blockers",

@@ -6,8 +6,8 @@ property tests against the naive reference (``repro.perf.reference``) and
 the *golden file* checked in at ``tests/golden/scheduler_golden.json`` —
 exact makespans plus a placement digest for every scheduler in the
 registry over small deterministic seed suites. Any drift in any
-scheduler's output fails ``tests/test_perf_equivalence.py`` and the CI
-``perf-smoke`` job.
+scheduler's output fails ``tests/test_perf_equivalence.py`` and the
+golden-check steps of the CI ``diff-oracle`` and ``cache-smoke`` jobs.
 
 Regenerate deliberately (only when an intentional behaviour change lands)
 with ``python -m repro.perf golden --write``.

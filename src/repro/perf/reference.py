@@ -30,9 +30,9 @@ and classifies whole probe blocks at once.
 
 Property tests (``tests/test_perf_equivalence.py``) and the differential
 battery (``tests/test_array_equivalence.py``) assert fast == naive on
-randomized inputs, and the ``BENCH_hotpath.json`` harness
-(:mod:`repro.perf.hotpath`) times optimized vs. reference to report the
-speedup.
+randomized inputs, and the CI ``diff-oracle`` job compares schedule
+digests of both arms on larger wide/deep synthetic, Strassen and CCSD
+graphs.
 """
 
 from __future__ import annotations
@@ -397,8 +397,8 @@ class ReferenceLocMpsScheduler(LocMpsScheduler):
 
     The outer allocation walk is byte-for-byte the production one (it is
     inherited), so any schedule difference against :class:`LocMpsScheduler`
-    isolates the incremental engine. Used by the equivalence tests and as
-    the baseline arm of the ``BENCH_hotpath.json`` harness.
+    isolates the incremental engine. Used by the equivalence tests and the
+    CI ``diff-oracle`` digest check.
     """
 
     name = "locmps-reference"

@@ -23,8 +23,8 @@ Knobs and telemetry:
 * ``transfer_limit`` bounds the concrete-transfer memo (it is cleared
   wholesale when full — correctness is unaffected, only reuse).
 * :attr:`stats` counts hits/misses per memo; :meth:`hit_rate` and
-  :meth:`snapshot` feed the ``repro.obs`` counters surfaced by the
-  ``BENCH_hotpath.json`` harness (see ``repro.perf``).
+  :meth:`snapshot` feed the ``repro.obs`` counters and the
+  ``costcache.*`` per-layer metrics of ``perfbench/``.
 """
 
 from __future__ import annotations

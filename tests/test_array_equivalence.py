@@ -38,7 +38,6 @@ from repro.cluster import MYRINET_2GBPS, Cluster
 from repro.exceptions import RedistributionError, ScheduleError
 from repro.graph import TaskGraph
 from repro.obs.tracer import Tracer
-from repro.perf.hotpath import deep_dag, wide_dag
 from repro.perf.reference import (
     ReferenceLocMpsScheduler,
     locbs_schedule_reference,
@@ -66,12 +65,13 @@ from repro.schedulers.locmps import LocMpsScheduler
 from repro.schedulers.provenance import ProvenanceRecorder
 from repro.speedup import AmdahlSpeedup, ExecutionProfile
 from repro.utils.intervals import EPS
+from repro.workloads import deep_dag, wide_dag
 from repro.workloads.strassen import strassen_graph
 from repro.workloads.tce import ccsd_t1_graph
 
 # -- workloads ----------------------------------------------------------------
 #
-# One representative of each family the benchmark suites cover, sized so
+# One representative of each family the CI digest check covers, sized so
 # the full registry x workload product stays test-suite fast.
 
 WORKLOADS = {
@@ -518,7 +518,7 @@ class TestBenchmarkGraphDeterminism:
         import sys
 
         script = (
-            "from repro.perf.hotpath import deep_dag, wide_dag\n"
+            "from repro.workloads import deep_dag, wide_dag\n"
             "g = deep_dag(4, 3, seed=12)\n"
             "print(repr(g.edges()))\n"
             "print(repr(wide_dag(8, seed=11).edges()))\n"

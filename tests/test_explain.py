@@ -16,7 +16,6 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.dashboard import render_dashboard, write_dashboard
-from repro.perf.hotpath import wide_dag
 from repro.schedule import attribute_makespan, extract_critical_chain
 from repro.schedulers import (
     CandidateProbe,
@@ -30,6 +29,7 @@ from repro.schedulers.locbs import locbs_schedule
 from repro.schedulers.provenance import LOST, TOO_FEW_FREE, WON
 from repro.sim import ExecutionEngine
 from repro.utils.intervals import EPS
+from repro.workloads import wide_dag
 
 from tests.helpers import build_random_graph
 

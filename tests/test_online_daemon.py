@@ -37,6 +37,7 @@ from repro.online import (
     namespace_graph,
     parse_swf,
     poisson_zipf_stream,
+    synthetic_swf_text,
 )
 from repro.online.daemon import latency_stats, percentile
 from repro.schedule import ProcessorTimeline
@@ -108,9 +109,10 @@ class TestJobs:
         with pytest.raises(ScheduleError):
             namespace_graph(small_template(), "bad/id")
 
-    def test_negative_arrival_rejected(self):
+    @pytest.mark.parametrize("arrival", [-1.0, math.nan, math.inf])
+    def test_negative_arrival_rejected(self, arrival):
         with pytest.raises(ScheduleError):
-            make_job("j", -1.0, small_template())
+            make_job("j", arrival, small_template())
 
     def test_width_is_widest_task(self):
         job = make_job("j", 0.0, small_template())
@@ -195,6 +197,15 @@ class TestSwf:
     def test_max_jobs_truncates(self):
         jobs = jobs_from_swf(self.TRACE, Cluster(16), max_jobs=1)
         assert len(jobs) == 1
+
+    def test_synthetic_trace_is_deterministic_and_rigid(self):
+        text = synthetic_swf_text(n_jobs=60, max_width=16, seed=7)
+        jobs = jobs_from_swf(text, Cluster(16))
+        assert len(jobs) == 60
+        for job in jobs:
+            assert job.width <= 16
+            assert job.width & (job.width - 1) == 0  # a power of two
+        assert synthetic_swf_text(n_jobs=60, max_width=16, seed=7) == text
 
     def test_cli_reports_a_rejected_trace_without_a_traceback(
         self, tmp_path, capsys

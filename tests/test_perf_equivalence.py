@@ -349,3 +349,12 @@ def test_registry_matches_golden_file():
         "golden file missing; run: python -m repro.perf golden --write"
     )
     assert check_golden() == []
+
+
+def test_cli_without_a_subcommand_prints_usage(capsys):
+    from repro.perf.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert "usage: python -m repro.perf" in capsys.readouterr().err

@@ -32,6 +32,8 @@ class TestTopLevelExports:
             "repro.workloads",
             "repro.experiments",
             "repro.cache",
+            "repro.online",
+            "repro.perf",
             "repro.analysis",
             "repro.utils",
         ],
