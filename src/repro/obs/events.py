@@ -30,6 +30,9 @@ LOCALITY_HIT = "locality_hit"
 LOCALITY_MISS = "locality_miss"
 PSEUDO_EDGE_ADDED = "pseudo_edge_added"
 REDISTRIBUTION_COSTED = "redistribution_costed"
+#: one per LoCBS run resumed from the run's placement trie (``prefix``
+#: placements reused of ``tasks``)
+LOCBS_RESUMED = "locbs_resumed"
 #: full decision provenance (emitted only when ``explain`` is on; the
 #: payload is a serialized :class:`repro.schedulers.provenance.PlacementDecision`)
 PLACEMENT_DECISION = "placement_decision"
@@ -72,6 +75,7 @@ EVENT_TYPES = frozenset(
         LOCALITY_MISS,
         PSEUDO_EDGE_ADDED,
         REDISTRIBUTION_COSTED,
+        LOCBS_RESUMED,
         PLACEMENT_DECISION,
         SIM_TASK,
         SIM_TRANSFER,

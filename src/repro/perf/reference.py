@@ -397,8 +397,10 @@ class ReferenceLocMpsScheduler(LocMpsScheduler):
 
     The outer allocation walk is byte-for-byte the production one (it is
     inherited), so any schedule difference against :class:`LocMpsScheduler`
-    isolates the incremental engine. Used by the equivalence tests and the
-    CI ``diff-oracle`` digest check.
+    isolates the incremental engine. Every LoCBS call here runs cold — the
+    override never passes the run's placement trie — so equal digests also
+    hold prefix resume to a from-scratch schedule. Used by the equivalence
+    tests and the CI ``diff-oracle`` digest check.
     """
 
     name = "locmps-reference"

@@ -16,9 +16,8 @@ matrices (``starts``/``ends``, row-sorted, padded with ``+inf``) so a
 single broadcast ``searchsorted``-equivalent — ``(ends <= t+EPS).sum(1)``
 followed by one fancy gather — classifies every processor at once. The
 ``+inf`` padding keeps every row sorted and makes the "no further busy
-interval" case fall out of the same gather instead of a branch. Batch
-entry points (:meth:`holes_batch`, :meth:`fits_rows`) answer whole blocks
-of candidate start times per call for the vectorized LoCBS hole scan.
+interval" case fall out of the same gather instead of a branch. Point
+queries (one processor, one instant) ``bisect`` the per-row list mirrors.
 
 Alongside the matrices, three *global* sorted structures are maintained
 incrementally (one ``bisect`` + slice-insert each per reservation):
@@ -155,11 +154,6 @@ class ProcessorTimeline:
             for s, e in zip(self._starts_l[r], self._ends_l[r])
         )
 
-    def rows_of(self, procs: Iterable[int]) -> np.ndarray:
-        """Row indices of *procs* for the batch entry points."""
-        row = self._row
-        return np.fromiter((row[p] for p in procs), dtype=np.intp)
-
     # -- mutation ------------------------------------------------------------------
 
     def _grow(self, needed: int) -> None:
@@ -236,25 +230,6 @@ class ProcessorTimeline:
                 self._eps_chain = True
             eu.insert(i, end)
 
-    def busy_count(self, t: float) -> int:
-        """Number of busy processors at instant *t* via two binary searches.
-
-        Exact iff :attr:`counts_exact` (it can only over-count otherwise);
-        the slot search uses ``P - busy_count(t)`` to skip candidate start
-        times with too few idle processors without classifying the machine.
-        """
-        tol = t + EPS
-        return bisect_right(self._all_starts, tol) - bisect_right(
-            self._all_ends, tol
-        )
-
-    def _fits(self, proc: int, start: float, end: float) -> bool:
-        """True if ``[start, end)`` overlaps no busy interval of *proc*."""
-        r = self._row[proc]
-        el = self._ends_l[r]
-        idx = bisect_right(el, start + EPS)
-        return idx == self._counts[r] or self._starts_l[r][idx] >= end - EPS
-
     # -- hole / availability queries ----------------------------------------------
 
     def is_free(self, procs: Iterable[int], start: float, end: float) -> bool:
@@ -272,15 +247,6 @@ class ProcessorTimeline:
             if idx < counts[r] and starts_l[r][idx] < lim:
                 return False
         return True
-
-    def fits_rows(self, rows: np.ndarray, start: float, end: float) -> bool:
-        """:meth:`is_free` on pre-resolved row indices (batch entry point)."""
-        if end - start <= EPS:
-            return True
-        sub_e = self._ends2d[rows]
-        idx = (sub_e <= start + EPS).sum(axis=1)
-        vals = self._starts2d[rows, idx]
-        return bool((vals >= end - EPS).all())
 
     def free_at(self, proc: int, t: float) -> bool:
         """True if *proc* is idle at instant *t* (busy intervals half-open)."""
@@ -336,20 +302,6 @@ class ProcessorTimeline:
         horizons = nxt.tolist()
         procs = self._procs
         return [(procs[i], horizons[i]) for i in sel]
-
-    def holes_batch(self, taus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Idle classification for a whole block of probe times at once.
-
-        Returns ``(free, nxt)``, both ``(len(taus), P)``: ``free[k, r]``
-        is True when row ``r`` is idle at ``taus[k]`` and ``nxt[k, r]`` is
-        its horizon (next busy start, ``inf`` when idle forever — the same
-        pairs :meth:`idle_with_horizon` yields per probe). ``nxt`` of busy
-        rows is meaningful only under the mask.
-        """
-        tol = taus + EPS
-        idx = (self._ends2d[None, :, :] <= tol[:, None, None]).sum(axis=2)
-        nxt = self._starts2d[self._prange[None, :], idx]
-        return nxt > tol[:, None], nxt
 
     def idle_sweep(self, start: float) -> "IdleSweep":
         """An :class:`IdleSweep` positioned at probe time *start*.

@@ -70,6 +70,7 @@ from repro.utils.intervals import EPS
 
 __all__ = [
     "LocbsOptions",
+    "PlacementTrie",
     "ReadyQueue",
     "locbs_schedule",
     "splice_schedule",
@@ -193,6 +194,63 @@ class ReadyQueue:
         return bool(self._heap)
 
 
+#: one trie node: the pop's ``(placement, comm_times, est)`` and its children
+_TrieNode = Tuple[PlacedTask, Dict[Tuple[str, str], float], float, "_Children"]
+#: a node's children, keyed on the next pop's ``(task, clamped width)``
+_Children = Dict[Tuple[str, int], _TrieNode]
+
+
+class PlacementTrie:
+    """LoCBS placements memoized on the pop sequence, for one graph.
+
+    A root-to-node path spells the first pops of some earlier LoCBS run as
+    ``(task, width)`` pairs; the node holds that pop's placement, its
+    in-edge communication times and its data-ready time. A placement is a
+    function of the chart (the earlier pops' placements), the task's width
+    and its parents' placements (popped earlier), so every run whose pops
+    start with the same pairs places them identically — whatever the
+    priorities that produced that order. The ready loop walks the trie
+    along its own pops, reuses each hit, and places (and inserts) only the
+    tail after the first miss.
+
+    Valid for one graph, cluster, :class:`LocbsOptions` and context: the
+    LoC-MPS outer loop holds one per :meth:`~LocMpsScheduler.run`.
+    *limit* caps the node count: an insert that would pass it clears the
+    trie instead, and the run that hit the cap finishes cold. ``resumed``
+    counts the placements served from the trie over its lifetime.
+    """
+
+    __slots__ = ("root", "size", "limit", "resumed")
+
+    def __init__(self, limit: Optional[int] = None) -> None:
+        self.root: _Children = {}
+        self.size = 0
+        self.limit = limit
+        self.resumed = 0
+
+    def insert(
+        self,
+        children: _Children,
+        key: Tuple[str, int],
+        placement: PlacedTask,
+        comm_times: Dict[Tuple[str, str], float],
+        est: float,
+    ) -> Optional[_Children]:
+        """Add one pop under *children*; its own children, or ``None``.
+
+        ``None`` means the cap cleared the trie, so *children* is no
+        longer reachable and the caller stops inserting.
+        """
+        if self.limit is not None and self.size >= self.limit:
+            self.root = {}
+            self.size = 0
+            return None
+        node: _TrieNode = (placement, comm_times, est, {})
+        children[key] = node
+        self.size += 1
+        return node[3]
+
+
 def locbs_schedule(
     graph: TaskGraph,
     cluster: Cluster,
@@ -202,6 +260,8 @@ def locbs_schedule(
     tracer: Optional[Tracer] = None,
     cost_cache: Optional[CostCache] = None,
     provenance: Optional[ProvenanceRecorder] = None,
+    *,
+    prefix_trie: Optional[PlacementTrie] = None,
 ) -> SchedulingResult:
     """Schedule *graph* under *allocation* with locality-conscious backfill.
 
@@ -230,6 +290,16 @@ def locbs_schedule(
     and, when a tracer is active, mirrors each decision as a
     ``placement_decision`` trace event. Recording never changes the
     schedule; ``None`` (the default) keeps the scan free of bookkeeping.
+
+    *prefix_trie* (optional) resumes the run from the longest prefix of
+    its pop sequence already placed by an earlier call sharing the trie
+    (see :class:`PlacementTrie`) and records the freshly placed tail. The
+    schedule is the one a cold call produces; only the resumed tasks skip
+    the hole scan, so their ``backfill_hit``, ``locality_*`` and
+    ``redistribution_costed`` events do not fire, and one
+    ``locbs_resumed`` event (``prefix``, ``tasks``) reports the reuse.
+    Every caller sharing a trie must pass the same graph, cluster,
+    options and context.
     """
     tracer = tracer or NULL_TRACER
     alloc = clamp_allocation(graph, cluster, allocation)
@@ -248,7 +318,7 @@ def locbs_schedule(
 
     for placement, comm_times, est_tp in _ready_loop(
         graph, cluster, alloc, options, cache, timeline, context, tracer,
-        provenance,
+        provenance, prefix_trie,
     ):
         tp = placement.name
         if provenance is not None and tracer.enabled:
@@ -353,12 +423,15 @@ def _ready_loop(
     context: Optional["SchedulingContext"],
     tracer: Tracer = NULL_TRACER,
     provenance: Optional[ProvenanceRecorder] = None,
+    trie: Optional[PlacementTrie] = None,
 ) -> Iterator[Tuple[PlacedTask, Dict[Tuple[str, str], float], float]]:
     """The ready-queue loop of Algorithm 2, shared by both entry points.
 
     Pops the highest-priority ready task, places it (:func:`_place_task`),
     reserves it on *timeline* and yields ``(placement, comm_times, est)``
-    before releasing its successors.
+    before releasing its successors. With a *trie*, each pop first looks
+    up its ``(task, width)`` child: a hit reuses the stored result, the
+    first miss leaves the trie and every later pop is placed and inserted.
     """
     inv = cache.graph_invariants(graph)
     preds = inv.preds
@@ -376,14 +449,26 @@ def _ready_loop(
             ready.push(t)
 
     placed: Dict[str, PlacedTask] = {}
+    #: the children of the trie node reached so far (None: not walking)
+    children = trie.root if trie is not None else None
+    resumed = 0
     for _ in range(len(waiting)):
         if not ready:
             raise ScheduleError("no ready task but tasks remain: cyclic graph?")
         tp = ready.pop()
-        placement, comm_times, est_tp = _place_task(
-            tp, preds[tp], graph, cluster, alloc, cache, timeline, placed,
-            options, context, tracer, provenance,
-        )
+        hit = children.get((tp, alloc[tp])) if children else None
+        if hit is not None:
+            placement, comm_times, est_tp, children = hit
+            resumed += 1
+        else:
+            placement, comm_times, est_tp = _place_task(
+                tp, preds[tp], graph, cluster, alloc, cache, timeline, placed,
+                options, context, tracer, provenance,
+            )
+            if children is not None:
+                children = trie.insert(
+                    children, (tp, alloc[tp]), placement, comm_times, est_tp
+                )
         timeline.reserve(placement.processors, placement.start, placement.finish)
         placed[tp] = placement
         yield placement, comm_times, est_tp
@@ -391,6 +476,10 @@ def _ready_loop(
             waiting[succ] -= 1
             if waiting[succ] == 0:
                 ready.push(succ)
+    if resumed:
+        trie.resumed += resumed
+        if tracer.enabled:
+            tracer.event("locbs_resumed", prefix=resumed, tasks=len(placed))
 
 
 def _place_task(

@@ -31,7 +31,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.schedulers.base import Scheduler, SchedulingResult
 from repro.schedulers.context import SchedulingContext
 from repro.schedulers.costcache import CostCache
-from repro.schedulers.locbs import LocbsOptions, locbs_schedule
+from repro.schedulers.locbs import LocbsOptions, PlacementTrie, locbs_schedule
 from repro.schedulers.provenance import ProvenanceRecorder
 
 __all__ = ["LocMpsScheduler"]
@@ -93,9 +93,16 @@ class LocMpsScheduler(Scheduler):
         on large graphs and long on-line rescheduling sessions can pin an
         unbounded number of full :class:`SchedulingResult` objects; set a
         limit to cap peak memory at the cost of re-scheduling evicted
-        allocations. Cumulative hit/miss/eviction statistics are exposed
-        on :attr:`memo_stats` and as ``memo_hit``/``memo_miss`` trace
-        events.
+        allocations. The same limit bounds the run's
+        :class:`~repro.schedulers.locbs.PlacementTrie` (the placements
+        every LoCBS call resumes from) to ``memo_limit`` times the task
+        count nodes; it is cleared wholesale when full. Neither bound
+        changes the produced schedule. Cumulative hit/miss/eviction
+        statistics, plus the placements LoCBS returned on misses
+        (``placements``) and how many of them it resumed from the trie
+        instead of placing (``placements_resumed``), are exposed on
+        :attr:`memo_stats`; ``memo_hit``/``memo_miss``/``locbs_resumed``
+        trace events mirror them.
     cost_cache_limit:
         Upper bound on the run-scoped :class:`CostCache`'s concrete
         transfer-time memo (cleared wholesale when full). ``None``
@@ -188,9 +195,11 @@ class LocMpsScheduler(Scheduler):
         #: (None until a run with ``explain=True`` completes)
         self.provenance: Optional[ProvenanceRecorder] = None
         #: cumulative allocation-memo telemetry across every run() of this
-        #: instance: hits, misses, evictions, peak_size, last run's size
+        #: instance: hits, misses, evictions, peak_size, last run's size,
+        #: placements returned on misses and the share resumed from the trie
         self.memo_stats: Dict[str, int] = {
             "hits": 0, "misses": 0, "evictions": 0, "peak_size": 0, "size": 0,
+            "placements": 0, "placements_resumed": 0,
         }
         #: cumulative cost-cache telemetry across every run() (hits/misses
         #: of the edge-estimate / concrete-transfer / graph memos, plus
@@ -209,6 +218,9 @@ class LocMpsScheduler(Scheduler):
         #: the run-scoped cost cache while run() is active (None otherwise);
         #: _schedule threads it into every look-ahead LoCBS call
         self._cost_cache: Optional[CostCache] = None
+        #: the run-scoped placement trie while run() is active (None
+        #: otherwise); _schedule resumes every unrecorded LoCBS call from it
+        self._prefix_trie: Optional[PlacementTrie] = None
         if not backfill:
             self.name = "locmps-nobackfill"
 
@@ -226,11 +238,14 @@ class LocMpsScheduler(Scheduler):
             comm_blind=self.comm_blind,
             locality_blind=self.locality_blind,
         )
+        # the explaining pass places every task afresh: a resumed task
+        # would have no recorded hole scan
         return locbs_schedule(
             graph, cluster, alloc, options,
             context=self.context, tracer=self.tracer,
             cost_cache=self._cost_cache,
             provenance=provenance,
+            prefix_trie=self._prefix_trie if provenance is None else None,
         )
 
     # -- candidate selection -------------------------------------------------------
@@ -432,6 +447,7 @@ class LocMpsScheduler(Scheduler):
                     result = self._schedule(graph, cluster, alloc)
             else:
                 result = self._schedule(graph, cluster, alloc)
+            stats["placements"] += len(result.schedule)
             if self.memo_limit is not None and len(memo) >= self.memo_limit:
                 del memo[next(iter(memo))]  # FIFO: oldest allocation first
                 stats["evictions"] += 1
@@ -448,6 +464,13 @@ class LocMpsScheduler(Scheduler):
         # serves them all (see :mod:`repro.schedulers.costcache`).
         cache = CostCache(cluster, transfer_limit=self.cost_cache_limit)
         self._cost_cache = cache
+        # Each step also re-places most of the previous schedule in the
+        # same order: every LoCBS call resumes from the longest prefix of
+        # its pop sequence that an earlier call already placed.
+        trie = PlacementTrie(
+            None if self.memo_limit is None else self.memo_limit * len(tasks)
+        )
+        self._prefix_trie = trie
 
         best_alloc: Dict[str, int] = {t: 1 for t in tasks}
         try:
@@ -570,6 +593,8 @@ class LocMpsScheduler(Scheduler):
             for key, val in cache.stats.items():
                 self.cost_cache_stats[key] += val
             self._cost_cache = None
+            stats["placements_resumed"] += trie.resumed
+            self._prefix_trie = None
 
         if tracer.enabled:
             tracer.gauge("memo_size", len(memo))

@@ -22,14 +22,17 @@ preserved verbatim in :mod:`repro.perf.scalar_oracles`:
   frozen reference arm under every registered scheduler's allocation
   (backfill and no-backfill) and on adversarially tight fuzzed graphs
   (zero-volume parents, sub-EPS execution times, single-processor
-  machines, random allocations), asserting bit-identical schedules.
+  machines, random allocations), asserting bit-identical schedules;
+* every LoCBS call LoC-MPS resumes from its run's placement trie is re-run
+  cold and must match it exactly — placements in commit order,
+  communication times and the schedule-DAG ``G'`` — including random
+  growth walks that share one trie.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -59,8 +62,9 @@ from repro.redistribution import (
 from repro.redistribution.blockcyclic import pair_fractions
 from repro.schedule import IdleSweep, ProcessorTimeline
 from repro.schedulers import SCHEDULERS, get_scheduler
-from repro.schedulers.context import SchedulingContext
-from repro.schedulers.locbs import LocbsOptions, locbs_schedule
+from repro.schedulers import locmps as locmps_module
+from repro.schedulers.context import ExternalInput, SchedulingContext
+from repro.schedulers.locbs import LocbsOptions, PlacementTrie, locbs_schedule
 from repro.schedulers.locmps import LocMpsScheduler
 from repro.schedulers.provenance import ProvenanceRecorder
 from repro.speedup import AmdahlSpeedup, ExecutionProfile
@@ -123,15 +127,6 @@ def _assert_timelines_agree(
         for p in procs:
             assert array_tl.free_at(p, t) == scalar_tl.free_at(p, t)
             assert array_tl.free_until(p, t) == scalar_tl.free_until(p, t)
-
-    # the batched hole enumeration equals the per-probe scalar hole lists
-    taus = np.array(probes)
-    free, nxt = array_tl.holes_batch(taus)
-    for k, t in enumerate(probes):
-        pairs = [
-            (procs[r], float(nxt[k, r])) for r in np.nonzero(free[k])[0].tolist()
-        ]
-        assert sorted(pairs) == sorted(scalar_tl.idle_with_horizon(t))
 
     # the incremental sweeps agree at every ascending probe
     sweep = IdleSweep(array_tl, probes[0])
@@ -496,12 +491,6 @@ class TestTimelineEdgeCases:
             assert tl.earliest_available(0) == 7.500001
             assert tl.idle_with_horizon(7.5) == []
 
-    def test_holes_batch_on_empty_chart(self):
-        array_tl = ProcessorTimeline(range(3))
-        free, nxt = array_tl.holes_batch(np.array([0.0, 1.0]))
-        assert free.all()
-        assert np.isinf(nxt).all()
-
 
 class TestBenchmarkGraphDeterminism:
     def test_deep_dag_edge_order_is_hash_seed_independent(self):
@@ -760,3 +749,149 @@ class TestNoBackfillEpsMerge:
         ).schedule
         assert _schedule_rows(merged) == _schedule_rows(raw)
         assert len(rec.decisions) == len(list(graph.tasks()))
+
+
+# -- prefix-resumed LoCBS vs cold LoCBS ---------------------------------------
+#
+# LoC-MPS resumes each look-ahead LoCBS call from the longest prefix of its
+# pop sequence that an earlier call of the run already placed. Every call
+# that received the run's trie is re-run cold here: the two results must
+# agree on every placement (in commit order), every communication time and
+# the whole schedule-DAG, pseudo-edges included.
+
+
+def _sdag_rows(sdag):
+    edges = sdag.real_edges() + sdag.pseudo_edges()
+    return (
+        [(t, sdag.vertex_weight(t)) for t in sdag.base.tasks()],
+        [(u, v, sdag.edge_weight(u, v)) for u, v in edges],
+        sdag.pseudo_edges(),
+    )
+
+
+def _assert_resume_exact(resumed, cold):
+    assert list(resumed.schedule) == list(cold.schedule)
+    assert resumed.schedule.edge_comm_times == cold.schedule.edge_comm_times
+    assert _sdag_rows(resumed.sdag) == _sdag_rows(cold.sdag)
+
+
+def _pinned_context(graph):
+    """Busy processors and external inputs on the graph's first tasks."""
+    first, second = list(graph.tasks())[:2]
+    scale = graph.et(first, 1)
+    return SchedulingContext(
+        processor_ready={0: 0.7 * scale, 3: 0.2 * scale, 5: 1.5 * scale},
+        external_inputs={
+            first: [ExternalInput(0.4 * scale, (0, 1), 2e6, label="x")],
+            second: [ExternalInput(0.1 * scale, (2, 3, 5), 5e5, label="y")],
+        },
+    )
+
+
+RESUME_CONFIGS = {
+    "default": lambda g: {},
+    "no-backfill": lambda g: {"backfill": False},
+    "comm-blind": lambda g: {"comm_blind": True},
+    "locality-blind": lambda g: {"locality_blind": True},
+    "pinned-context": lambda g: {"context": _pinned_context(g)},
+}
+
+
+class TestPrefixResumeDifferential:
+    @pytest.mark.parametrize("config", sorted(RESUME_CONFIGS))
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_every_resumed_call_equals_its_cold_rerun(
+        self, workload, config, monkeypatch
+    ):
+        graph = WORKLOADS[workload]()
+        cluster = _cluster()
+        original = locmps_module.locbs_schedule
+        checked = []
+
+        def rerun_cold(*args, **kwargs):
+            result = original(*args, **kwargs)
+            if kwargs.get("prefix_trie") is not None:
+                cold = original(
+                    *args,
+                    **dict(kwargs, prefix_trie=None, cost_cache=None),
+                )
+                _assert_resume_exact(result, cold)
+                checked.append(len(result.schedule))
+            return result
+
+        monkeypatch.setattr(locmps_module, "locbs_schedule", rerun_cold)
+        scheduler = LocMpsScheduler(
+            look_ahead_depth=4, **RESUME_CONFIGS[config](graph)
+        )
+        scheduler.schedule(graph, cluster)
+        stats = scheduler.memo_stats
+        # every memo miss went through the trie, and some of it was reused
+        assert len(checked) == stats["misses"]
+        assert sum(checked) == stats["placements"]
+        assert stats["placements_resumed"] > 0
+
+    def test_explain_pass_and_reference_stay_cold(self, monkeypatch):
+        graph = WORKLOADS["ccsd-t1"]()
+        original = locmps_module.locbs_schedule
+        tries = []
+
+        def record(*args, **kwargs):
+            tries.append(
+                (kwargs.get("prefix_trie"), kwargs.get("provenance"))
+            )
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(locmps_module, "locbs_schedule", record)
+        LocMpsScheduler(look_ahead_depth=4, explain=True).schedule(
+            graph, _cluster()
+        )
+        *search, (explain_trie, recorder) = tries
+        assert all(trie is not None for trie, _ in search)
+        assert recorder is not None and explain_trie is None
+        ref = ReferenceLocMpsScheduler(look_ahead_depth=4)
+        ref.schedule(graph, _cluster())
+        assert ref.memo_stats["placements_resumed"] == 0
+
+    @given(
+        graph=_tight_graph(),
+        procs=st.sampled_from([1, 2, 5]),
+        overlap=st.booleans(),
+        backfill=st.booleans(),
+        data=st.data(),
+    )
+    @fuzz_settings
+    def test_growth_walks_sharing_one_trie_match_cold_runs(
+        self, graph, procs, overlap, backfill, data
+    ):
+        """Random one-task growth walks, restarting like a look-ahead."""
+        cluster = Cluster(
+            num_processors=procs, bandwidth=MYRINET_2GBPS, overlap=overlap
+        )
+        options = LocbsOptions(backfill=backfill)
+        tasks = list(graph.tasks())
+        trie = PlacementTrie()
+        start = {t: 1 for t in tasks}
+        alloc = dict(start)
+        seen = set()
+        steps = data.draw(
+            st.lists(st.integers(min_value=-1, max_value=len(tasks) - 1),
+                     min_size=1, max_size=12)
+        )
+        for step in steps:
+            if step < 0:
+                alloc = dict(start)  # back to the committed allocation
+            else:
+                # a saturated task keeps its width: the call repeats one
+                alloc[tasks[step]] = min(procs, alloc[tasks[step]] + 1)
+            key = tuple(alloc.values())
+            before = trie.resumed
+            resumed = locbs_schedule(
+                graph, cluster, alloc, options, prefix_trie=trie
+            )
+            cold = locbs_schedule(graph, cluster, alloc, options)
+            _assert_resume_exact(resumed, cold)
+            if key in seen:
+                # a repeated allocation pops the same sequence: all hits
+                assert trie.resumed - before == len(tasks)
+            seen.add(key)
+            assert trie.size <= len(tasks) * len(seen)

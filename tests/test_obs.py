@@ -298,6 +298,50 @@ class TestMemoTelemetry:
         # eviction only costs recomputation; the search is unchanged
         assert limited.makespan == plain.makespan
 
+    def test_resume_telemetry_is_deterministic_and_trace_independent(self):
+        tr = Tracer()
+        _, _, traced, _ = traced_schedule(tr)
+        _, _, plain, _ = traced_schedule(None)
+        first = dict(plain.memo_stats)
+        g, c, _, _ = traced_schedule(None)
+        plain.schedule(g, c)  # stats are cumulative: the second run doubles them
+        resumed = first["placements_resumed"]
+        assert 0 < resumed < first["placements"]
+        assert plain.memo_stats["placements_resumed"] == 2 * resumed
+        assert plain.memo_stats["placements"] == 2 * first["placements"]
+        assert traced.memo_stats["placements_resumed"] == resumed
+        runs = [e.fields for e in tr.events if e.name == "locbs_resumed"]
+        assert sum(run["prefix"] for run in runs) == resumed
+        assert all(0 < run["prefix"] <= run["tasks"] == g.num_tasks for run in runs)
+        # every placement is reported, but only fresh ones were costed
+        counts = tr.events_by_type()
+        assert counts["task_placed"] == first["placements"]
+        assert counts["redistribution_costed"] < first["misses"] * len(g.edges())
+
+    def test_memo_limit_bounds_the_trie_and_preserves_schedule(
+        self, monkeypatch
+    ):
+        from repro.perf import schedule_digest
+        from repro.schedulers import locmps as locmps_module
+
+        original = locmps_module.locbs_schedule
+        sizes = []
+
+        def record(*args, **kwargs):
+            result = original(*args, **kwargs)
+            trie = kwargs["prefix_trie"]
+            sizes.append((trie.size, trie.limit))
+            return result
+
+        monkeypatch.setattr(locmps_module, "locbs_schedule", record)
+        g, _, capped, limited = traced_schedule(None, memo_limit=2)
+        assert all(size <= limit == 2 * g.num_tasks for size, limit in sizes)
+        # the cap was reached and cleared at least once
+        assert any(b < a for (a, _), (b, _) in zip(sizes, sizes[1:]))
+        assert capped.memo_stats["placements_resumed"] > 0
+        _, _, _, plain = traced_schedule(None)
+        assert schedule_digest(limited) == schedule_digest(plain)
+
     def test_memo_limit_validation(self):
         with pytest.raises(ValueError):
             LocMpsScheduler(memo_limit=0)
