@@ -9,7 +9,9 @@ deterministic priority queue and reacts:
     memoized widths, or hit the content-addressed schedule cache when a
     :class:`~repro.cache.service.CachedScheduleService` is attached),
     then ask admission control: place now, defer to the FIFO pending
-    queue, or reject.
+    queue, or reject. A job the allocator cannot schedule (it raises
+    :class:`~repro.exceptions.ScheduleError`, as for an empty graph) is
+    rejected too, and the run goes on.
 ``JOB_FINISH``
     Release the finished job's cost-cache state and, if jobs are waiting,
     schedule a ``REPLAN`` at the same instant (firing *after* every
@@ -100,7 +102,7 @@ class OnlineDaemonReport:
 
     submitted: int = 0
     placed: int = 0
-    rejected: int = 0
+    rejected: int = 0  #: by admission, or because allocation failed
     deferred: int = 0  #: submissions that waited in the pending queue
     makespan: float = 0.0  #: latest placed finish (simulated seconds)
     last_arrival: float = 0.0
@@ -316,15 +318,30 @@ class OnlineSchedulerDaemon:
                 latency_s=result.latency_s,
             )
 
+    def _reject(self, job: Job, now: float, reason: str) -> None:
+        self._report.rejected += 1
+        if self.tracer.enabled:
+            self.tracer.event(
+                JOB_REJECTED, job=job.job_id, sim_time=now, reason=reason
+            )
+
     def _on_submit(self, job: Job, now: float) -> None:
         report = self._report
         report.submitted += 1
-        self._allocate(job)
-        decision = self.admission.decide(
-            width=job.width,
-            pending_depth=len(self._pending),
-            backlog=max(0.0, self.incremental.timeline.horizon() - now),
-        )
+        try:
+            self._allocate(job)
+        except ScheduleError as exc:
+            # a job the allocator cannot schedule (an empty graph, say) is
+            # rejected before it touches the chart; the stream goes on
+            decision = AdmissionDecision.REJECT
+            reason = str(exc)
+        else:
+            decision = self.admission.decide(
+                width=job.width,
+                pending_depth=len(self._pending),
+                backlog=max(0.0, self.incremental.timeline.horizon() - now),
+            )
+            reason = "admission"
         if self.tracer.enabled:
             self.tracer.event(
                 JOB_SUBMITTED,
@@ -334,9 +351,7 @@ class OnlineSchedulerDaemon:
                 decision=decision.value,
             )
         if decision is AdmissionDecision.REJECT:
-            report.rejected += 1
-            if self.tracer.enabled:
-                self.tracer.event(JOB_REJECTED, job=job.job_id, sim_time=now)
+            self._reject(job, now, reason)
             return
         if decision is AdmissionDecision.DEFER:
             report.deferred += 1
@@ -364,11 +379,7 @@ class OnlineSchedulerDaemon:
                 break
             pending.popleft()
             if decision is AdmissionDecision.REJECT:
-                self._report.rejected += 1
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        JOB_REJECTED, job=job.job_id, sim_time=now
-                    )
+                self._reject(job, now, "admission")
                 continue
             self._commit(job, now)
 

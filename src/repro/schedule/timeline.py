@@ -10,16 +10,17 @@ chart incrementally as tasks are placed and answers the queries LoCBS needs:
 * feasibility of a concrete rectangle ``(procs, [start, end))``;
 * per-processor *latest free time* for the cheaper no-backfill variant.
 
-The slot search dominates the whole library's runtime, so the chart is
-**array-native**: busy spans live in two padded ``(P, cap)`` float64
-matrices (``starts``/``ends``, row-sorted, padded with ``+inf``) so a
-single broadcast ``searchsorted``-equivalent — ``(ends <= t+EPS).sum(1)``
-followed by one fancy gather — classifies every processor at once. The
-``+inf`` padding keeps every row sorted and makes the "no further busy
-interval" case fall out of the same gather instead of a branch. Point
-queries (one processor, one instant) ``bisect`` the per-row list mirrors.
+Each processor's busy spans live in one *row*: two sorted Python lists
+(``starts``/``ends``). Every query classifies a row with one
+``bisect_right(ends, t + EPS)``: the index ``idx`` is the first span that
+could still cover ``t``; ``idx == count`` means the processor is idle
+forever, otherwise it is idle until ``starts[idx]`` when that start lies
+beyond ``t + EPS`` and busy until ``ends[idx]`` when it does not. A
+whole-machine classification is P such bisects in machine order,
+O(P log n) however long the rows grow, and a reservation costs only the
+list inserts of its own rows.
 
-Alongside the matrices, three *global* sorted structures are maintained
+Alongside the rows, three *global* sorted structures are maintained
 incrementally (one ``bisect`` + slice-insert each per reservation):
 
 * ``_all_starts`` / ``_all_ends`` — every span boundary with multiplicity,
@@ -30,7 +31,7 @@ incrementally (one ``bisect`` + slice-insert each per reservation):
 * ``_ends_unique`` — the deduplicated release times, so the slot search's
   candidate list is a slice instead of an O(intervals) rebuild.
 
-The scalar API is bit-compatible with the frozen pre-numpy chart
+The API is bit-compatible with the frozen scalar chart
 (:class:`repro.perf.scalar_oracles.ScalarProcessorTimeline`) — the
 differential battery in ``tests/test_array_equivalence.py`` holds the two
 implementations equal on every query.
@@ -47,30 +48,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.exceptions import ScheduleError
 from repro.utils.intervals import EPS, Interval, IntervalSet
 
 __all__ = ["IdleSweep", "ProcessorTimeline"]
 
-#: initial per-processor capacity (columns); doubled on demand
-_INIT_CAP = 8
-
 
 class ProcessorTimeline:
     """Busy-interval bookkeeping for a fixed set of processors.
 
-    Rows of the padded ``(P, cap)`` span matrices are indexed by *row*
-    (machine order); ``_row`` maps processor ids to rows. At least one
-    ``+inf`` padding column is maintained after every row's spans so
-    gathers at ``index == count`` read ``inf`` instead of falling off the
-    end. ``_starts_l``/``_ends_l`` mirror each row as plain Python lists:
-    the scalar probes of the slot search (one processor, one instant) beat
-    numpy's per-call overhead by an order of magnitude on ``bisect`` over
-    a small list, while the matrices serve the broadcast queries.
+    Rows are indexed in machine order; ``_row`` maps processor ids to rows.
+    ``_starts_l``/``_ends_l`` hold each row's spans as sorted Python lists
+    (ends stay sorted because spans in a row never overlap beyond ``EPS``).
     Processor sets passed to :meth:`reserve` must be duplicate-free (every
     caller passes a placement's processor tuple, which is).
     """
@@ -78,13 +69,9 @@ class ProcessorTimeline:
     __slots__ = (
         "_procs",
         "_row",
-        "_starts2d",
-        "_ends2d",
         "_starts_l",
         "_ends_l",
         "_counts",
-        "_cap",
-        "_prange",
         "_release_times",
         "_all_starts",
         "_all_ends",
@@ -102,15 +89,11 @@ class ProcessorTimeline:
         self._procs: Tuple[int, ...] = procs
         self._row: Dict[int, int] = {p: i for i, p in enumerate(procs)}
         n = len(procs)
-        self._cap = _INIT_CAP
-        self._starts2d = np.full((n, self._cap), math.inf)
-        self._ends2d = np.full((n, self._cap), math.inf)
-        #: per-row Python mirrors of the span matrices (scalar hot path)
+        #: per-row sorted span starts / ends
         self._starts_l: List[List[float]] = [[] for _ in range(n)]
         self._ends_l: List[List[float]] = [[] for _ in range(n)]
-        #: per-row span counts (Python ints for cheap scalar paths)
+        #: per-row span counts
         self._counts: List[int] = [0] * n
-        self._prange = np.arange(n)
         #: global sorted list of busy-interval end times (one per reserve)
         self._release_times: List[float] = []
         #: global sorted boundaries with per-processor multiplicity — the
@@ -156,17 +139,6 @@ class ProcessorTimeline:
 
     # -- mutation ------------------------------------------------------------------
 
-    def _grow(self, needed: int) -> None:
-        new_cap = self._cap
-        while new_cap < needed:
-            new_cap *= 2
-        n = len(self._procs)
-        starts = np.full((n, new_cap), math.inf)
-        ends = np.full((n, new_cap), math.inf)
-        starts[:, : self._cap] = self._starts2d
-        ends[:, : self._cap] = self._ends2d
-        self._starts2d, self._ends2d, self._cap = starts, ends, new_cap
-
     def reserve(self, procs: Iterable[int], start: float, end: float) -> None:
         """Mark ``[start, end)`` busy on *procs*; overlap raises.
 
@@ -193,10 +165,6 @@ class ProcessorTimeline:
                 raise ScheduleError(
                     f"processor {p} already busy during [{start:g}, {end:g})"
                 )
-        top = max(counts[r] for r in rowlist)
-        if top + 2 > self._cap:
-            self._grow(top + 2)
-        starts2d, ends2d = self._starts2d, self._ends2d
         for r in rowlist:
             sl, el = starts_l[r], ends_l[r]
             # after equal starts: a span sharing this start was accepted
@@ -211,10 +179,7 @@ class ProcessorTimeline:
                 self._eps_overlap = True
             sl.insert(idx, start)
             el.insert(idx, end)
-            cnt = counts[r] + 1
-            counts[r] = cnt
-            starts2d[r, idx:cnt] = sl[idx:]
-            ends2d[r, idx:cnt] = el[idx:]
+            counts[r] += 1
         k = len(plist)
         i = bisect_right(self._all_starts, start)
         self._all_starts[i:i] = [start] * k
@@ -280,28 +245,23 @@ class ProcessorTimeline:
         idx = bisect_left(sl, t - EPS)
         return sl[idx] if idx < self._counts[r] else math.inf
 
-    def idle_processors(self, t: float) -> List[int]:
-        """Processors idle at instant *t*, in machine order."""
-        tol = t + EPS
-        idx = (self._ends2d <= tol).sum(axis=1)
-        nxt = self._starts2d[self._prange, idx]
-        procs = self._procs
-        return [procs[i] for i in np.nonzero(nxt > tol)[0].tolist()]
-
     def idle_with_horizon(self, t: float) -> List[Tuple[int, float]]:
         """``(proc, next_busy_start)`` for every processor idle at *t*.
 
-        One broadcast classification of the whole machine: the padded-inf
-        gather returns ``inf`` for processors with no further busy span,
-        which is exactly the "idle forever" horizon.
+        One bisect per row, in machine order; a row with no span ending
+        after ``t + EPS`` is idle forever (horizon ``inf``).
         """
         tol = t + EPS
-        idx = (self._ends2d <= tol).sum(axis=1)
-        nxt = self._starts2d[self._prange, idx]
-        sel = np.nonzero(nxt > tol)[0].tolist()
-        horizons = nxt.tolist()
-        procs = self._procs
-        return [(procs[i], horizons[i]) for i in sel]
+        out: List[Tuple[int, float]] = []
+        for p, sl, el, cnt in zip(
+            self._procs, self._starts_l, self._ends_l, self._counts
+        ):
+            idx = bisect_right(el, tol)
+            if idx == cnt:
+                out.append((p, math.inf))
+            elif sl[idx] > tol:
+                out.append((p, sl[idx]))
+        return out
 
     def idle_sweep(self, start: float) -> "IdleSweep":
         """An :class:`IdleSweep` positioned at probe time *start*.
@@ -364,15 +324,6 @@ class ProcessorTimeline:
             return
         yield from self.release_times(after)
 
-    def boundary_times(self, after: float) -> List[float]:
-        """Sorted deduplicated interval starts *and* ends after *after*."""
-        seen: Set[float] = set()
-        for r in range(len(self._procs)):
-            for edge in self._starts_l[r] + self._ends_l[r]:
-                if edge > after + EPS:
-                    seen.add(edge)
-        return sorted(seen)
-
     def horizon(self) -> float:
         """Latest busy end across all processors (0 for an empty chart)."""
         return self._release_times[-1] if self._release_times else 0.0
@@ -400,28 +351,14 @@ class ProcessorTimeline:
             return 0.0
         return self.busy_time() / (len(self._procs) * until)
 
-    def first_fit_start(
-        self, procs: Iterable[int], earliest: float, duration: float
-    ) -> float:
-        """Earliest ``t >= earliest`` with ``[t, t+duration)`` free on *procs*.
-
-        Fixed processor set; used by the list scheduler and tests.
-        """
-        if duration <= EPS:
-            return earliest
-        merged = IntervalSet()
-        for p in procs:
-            merged = merged.union(self.busy_intervals(p))
-        return merged.first_fit(earliest, duration)
-
     # -- invariants (used by property tests) ----------------------------------------
 
     def check_invariants(self) -> None:
         """Raise if any processor's busy intervals are unsorted or overlap.
 
-        Also verifies the numpy matrices, the Python row mirrors and the
-        global boundary lists agree — the representations are maintained
-        jointly by :meth:`reserve` and must never drift.
+        Also verifies the row counts and the global boundary lists agree
+        with the rows — all are maintained jointly by :meth:`reserve` and
+        must never drift.
         """
         n_spans = 0
         for i, p in enumerate(self._procs):
@@ -429,15 +366,7 @@ class ProcessorTimeline:
             n_spans += cnt
             sl, el = self._starts_l[i], self._ends_l[i]
             if len(sl) != cnt or len(el) != cnt:
-                raise ScheduleError(f"processor {p} mirror length mismatch")
-            if self._starts2d[i, :cnt].tolist() != sl or self._ends2d[
-                i, :cnt
-            ].tolist() != el:
-                raise ScheduleError(f"processor {p} matrix/mirror drift")
-            if not bool(np.isinf(self._starts2d[i, cnt:]).all()) or not bool(
-                np.isinf(self._ends2d[i, cnt:]).all()
-            ):
-                raise ScheduleError(f"processor {p} padding corrupted")
+                raise ScheduleError(f"processor {p} row length mismatch")
             prev_end = -math.inf
             for s, e in zip(sl, el):
                 if e - s <= EPS:
@@ -477,8 +406,8 @@ class IdleSweep:
     until ``end``, or idle forever — can only change when the probe time
     crosses that boundary, so boundaries are kept in a min-heap and each
     :meth:`advance` pops and reclassifies exactly the processors whose state
-    flipped. Construction is one broadcast classification of the whole
-    machine; each advance is then amortized O(flips log P) instead of
+    flipped. Construction classifies the whole machine with one bisect per
+    row; each advance is then amortized O(flips log P) instead of
     O(P log intervals) per probe.
 
     The sweep snapshots nothing: it reads the timeline's span lists in
@@ -497,20 +426,20 @@ class IdleSweep:
         tol = start + EPS
         free = self._free
         events = self._events
-        idx = (timeline._ends2d <= tol).sum(axis=1)
-        nxt = timeline._starts2d[timeline._prange, idx].tolist()
-        cur_end = timeline._ends2d[timeline._prange, idx].tolist()
-        counts = timeline._counts
-        idx_list = idx.tolist()
-        for i, p in enumerate(timeline._procs):
-            if idx_list[i] == counts[i]:
+        for p, sl, el, cnt in zip(
+            timeline._procs, timeline._starts_l, timeline._ends_l,
+            timeline._counts,
+        ):
+            idx = bisect_right(el, tol)
+            if idx == cnt:
                 free[p] = math.inf  # idle forever: never reclassified
                 continue
-            if nxt[i] > tol:
-                free[p] = nxt[i]
-                events.append((nxt[i], p))
+            nxt = sl[idx]
+            if nxt > tol:
+                free[p] = nxt
+                events.append((nxt, p))
             else:
-                events.append((cur_end[i], p))
+                events.append((el[idx], p))
         heapify(events)
 
     def advance(self, t: float) -> None:

@@ -1,10 +1,10 @@
 """Differential battery: array-native hot paths vs the frozen scalar oracles.
 
-The numpy rewrite of the busy-interval chart (:mod:`repro.schedule.timeline`)
-and the block-cyclic redistribution kernels (:mod:`repro.redistribution`)
-claims *bit-identical* outputs — not approximately equal, identical floats.
-This module holds that claim against the pre-vectorization scalar code
-preserved verbatim in :mod:`repro.perf.scalar_oracles`:
+The busy-interval chart (:mod:`repro.schedule.timeline`) and the numpy
+block-cyclic redistribution kernels (:mod:`repro.redistribution`) claim
+*bit-identical* outputs — not approximately equal, identical floats.
+This module holds that claim against the frozen scalar code preserved
+verbatim in :mod:`repro.perf.scalar_oracles`:
 
 * every registered scheduler's schedule, replayed placement by placement
   through both timeline implementations, must agree on every query (busy
@@ -15,6 +15,8 @@ preserved verbatim in :mod:`repro.perf.scalar_oracles`:
 * hypothesis fuzzes the same pairings on randomized reserve/query
   sequences and random block-cyclic layouts (derandomized, so CI is
   stable);
+* an online-style stream builds rows of 2,000+ spans on both charts,
+  which must agree on every hole query at every release time;
 * the known edge cases — zero-duration tasks, back-to-back spans, empty
   processor sets, single-processor machines, coprime layout sizes whose
   lcm period must never be materialized — are pinned explicitly;
@@ -32,6 +34,7 @@ preserved verbatim in :mod:`repro.perf.scalar_oracles`:
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -105,7 +108,7 @@ def _assert_timelines_agree(
     array_tl: ProcessorTimeline, scalar_tl: ScalarProcessorTimeline
 ) -> None:
     """Exhaustive query-by-query comparison of the two chart implementations."""
-    array_tl.check_invariants()  # also cross-checks numpy vs list mirrors
+    array_tl.check_invariants()  # also cross-checks rows vs global lists
     procs = array_tl.processors
     assert procs == scalar_tl.processors
     probes = _probe_times(scalar_tl)
@@ -116,11 +119,9 @@ def _assert_timelines_agree(
 
     assert array_tl.horizon() == scalar_tl.horizon()
     assert array_tl.release_times(-1.0) == scalar_tl.release_times(-1.0)
-    assert array_tl.boundary_times(-1.0) == scalar_tl.boundary_times(-1.0)
 
     for t in probes:
         assert array_tl.release_times(t) == scalar_tl.release_times(t)
-        assert array_tl.idle_processors(t) == scalar_tl.idle_processors(t)
         assert sorted(array_tl.idle_with_horizon(t)) == sorted(
             scalar_tl.idle_with_horizon(t)
         ), f"hole list divergence at t={t}"
@@ -490,6 +491,78 @@ class TestTimelineEdgeCases:
         for tl in (array_tl, scalar_tl):
             assert tl.earliest_available(0) == 7.500001
             assert tl.idle_with_horizon(7.5) == []
+
+
+def _long_row_charts(num_procs: int, min_spans: int, seed: int):
+    """Both charts after an online-style stream that fills every row.
+
+    Jobs arrive staggered; each first tries to backfill the holes idle at
+    its arrival and otherwise starts when its least-loaded processors
+    free up, so rows grow long and take inserts in their middle too.
+    """
+    rng = random.Random(seed)
+    array_tl = ProcessorTimeline(range(num_procs))
+    scalar_tl = ScalarProcessorTimeline(range(num_procs))
+    spans = [0] * num_procs
+    arrival = 0.0
+    while min(spans) < min_spans:
+        arrival += rng.choice((0.25, 0.5, 0.75))
+        width = rng.randint(1, 4)
+        dur = rng.randint(1, 16) / 8 + rng.randint(0, 999) / 1e4
+        holes = [
+            p for p, until in scalar_tl.idle_with_horizon(arrival)
+            if until >= arrival + dur
+        ]
+        if len(holes) >= width:
+            procs, start = holes[:width], arrival
+        else:
+            procs = sorted(
+                range(num_procs),
+                key=lambda p: (scalar_tl.earliest_available(p), p),
+            )[:width]
+            start = max(
+                [arrival] + [scalar_tl.earliest_available(p) for p in procs]
+            )
+        for tl in (array_tl, scalar_tl):
+            tl.reserve(procs, start, start + dur)
+        for p in procs:
+            spans[p] += 1
+    return array_tl, scalar_tl
+
+
+class TestLongRowDifferential:
+    def test_long_rows_agree_at_every_release_time(self):
+        """Rows of 2,000+ spans answer every hole query like the oracle."""
+        array_tl, scalar_tl = _long_row_charts(8, 2000, seed=5)
+        array_tl.check_invariants()
+        scalar_tl.check_invariants()
+        procs = array_tl.processors
+        releases = scalar_tl.release_times(-1.0)
+        # no two distinct ends within EPS, so the answer after the i-th
+        # release time is the tail of the full list
+        assert all(b - a > EPS for a, b in zip(releases, releases[1:]))
+        sweep = IdleSweep(array_tl, 0.0)
+        ref_sweep = ScalarIdleSweep(scalar_tl, 0.0)
+        for i, t in enumerate(releases):
+            idle = scalar_tl.idle_with_horizon(t)
+            assert array_tl.idle_with_horizon(t) == idle, f"t={t}"
+            horizon = dict(idle)
+            for p in procs:
+                assert array_tl.free_horizon(p, t) == horizon.get(
+                    p, -math.inf
+                )
+                assert array_tl.is_free([p], t, t + 0.5) == scalar_tl.is_free(
+                    [p], t, t + 0.5
+                )
+            assert array_tl.is_free(procs, t, t + 0.25) == scalar_tl.is_free(
+                procs, t, t + 0.25
+            )
+            assert array_tl.release_times(t) == releases[i + 1:]
+            sweep.advance(t)
+            ref_sweep.advance(t)
+            assert sorted(sweep.free_pairs()) == sorted(
+                ref_sweep.free_pairs()
+            ), f"sweep divergence at t={t}"
 
 
 class TestBenchmarkGraphDeterminism:
